@@ -2,9 +2,9 @@
 
 Structure: a grey-scale (1, D, H, W) volume runs through conv stages
 (each block = fusion operator + bias + ReLU, kernel extent 3), with 2x2
-mean pooling between stages.  Every stage's output is upsampled back to
-full resolution (nearest neighbor), channel-unified by a 1x1x1
-convolution, and the unified maps are summed.  A final Dx1x1 valid
+mean pooling between stages.  Every stage's output is channel-unified
+by a 1x1x1 convolution, upsampled back to full resolution (nearest
+neighbor), and the unified maps are summed.  A final Dx1x1 valid
 convolution collapses the depth axis, leaving a rank-3 (Cfeat, H, W)
 feature map.
 
@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ctf
-from .costmodel import LayerDims
+from .costmodel import HeadLayer, LayerDims
 from .operators import (
     OperatorGrads,
     OperatorKind,
@@ -79,8 +79,8 @@ class BackboneConfig:
         if self.height < 1 or self.width < 1 or self.height % f or self.width % f:
             raise ValueError(f"height/width must be positive multiples of {f}, "
                              f"got {self.height}x{self.width}")
-        if self.a3d_perturb < 0:
-            raise ValueError(f"a3d_perturb must be >= 0, got {self.a3d_perturb}")
+        if not np.isfinite(self.a3d_perturb) or self.a3d_perturb < 0:
+            raise ValueError(f"a3d_perturb must be finite and >= 0, got {self.a3d_perturb}")
         if self.tsm_div < 1:
             raise ValueError(f"tsm_div must be >= 1, got {self.tsm_div}")
 
@@ -128,6 +128,15 @@ def layer_dims(config: BackboneConfig) -> list[LayerDims]:
     return dims
 
 
+def head_layers(config: BackboneConfig) -> list[HeadLayer]:
+    """Dimensions of the head, for the cost model: each stage's 1x1x1
+    unification at the stage's own resolution, then the Dx1x1 collapse."""
+    cf, d, hw = config.feature_channels, config.depth, config.height * config.width
+    head = [HeadLayer(f"unify{s}", c, cf, 1, d * hw // 4 ** s)
+            for s, (c, _) in enumerate(config.stages)]
+    return head + [HeadLayer("collapse", cf, cf, d, hw)]
+
+
 def _he_uniform(rng: SeededRng, shape, fan_in: int) -> np.ndarray:
     bound = float(np.sqrt(6.0 / fan_in))
     return rng.uniform(-bound, bound, shape)
@@ -155,60 +164,28 @@ def build(config: BackboneConfig) -> Backbone:
     return Backbone(config, fusion_layers, unify, collapse)
 
 
-def _pool2(x: np.ndarray) -> np.ndarray:
+def _blocks(x: np.ndarray, f: int) -> np.ndarray:
+    """(C, D, H, W) viewed as (C, D, H/f, f, W/f, f) blocks of f x f pixels."""
     c, d, h, w = x.shape
-    return x.reshape(c, d, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
-
-
-def _pool2_adjoint(g: np.ndarray) -> np.ndarray:
-    return np.repeat(np.repeat(g, 2, axis=2), 2, axis=3) / 4.0
-
-
-def _upsample(x: np.ndarray, f: int) -> np.ndarray:
-    if f == 1:
-        return x
-    return np.repeat(np.repeat(x, f, axis=2), f, axis=3)
+    return x.reshape(c, d, h // f, f, w // f, f)
 
 
 def _upsample_adjoint(g: np.ndarray, f: int) -> np.ndarray:
-    if f == 1:
-        return g
-    c, d, h, w = g.shape
-    return g.reshape(c, d, h // f, f, w // f, f).sum(axis=(3, 5))
+    return g if f == 1 else _blocks(g, f).sum(axis=(3, 5))
 
 
-# Columns per unification pass; sized so the input tile stays cache-resident
-# instead of being re-streamed from memory once per output channel.
-_UNIFY_TILE = 1024
+def _head_conv(x: np.ndarray, kernel: np.ndarray, lead: int) -> np.ndarray:
+    """Bias-free convolution whose kernel is 1x1 in-plane and spans the
+    first `lead` axes of x whole: the 1x1x1 unification (lead 1) or the
+    Dx1x1 valid depth collapse (lead 2), as one matrix product."""
+    km = kernel.reshape(kernel.shape[0], -1)
+    return (km @ x.reshape(km.shape[1], -1)).reshape(kernel.shape[:1] + x.shape[lead:])
 
 
-def _unify(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    km = kernel[:, :, 0, 0, 0]
-    xf = x.reshape(x.shape[0], -1)
-    out = np.empty((km.shape[0], xf.shape[1]))
-    for t in range(0, xf.shape[1], _UNIFY_TILE):
-        np.einsum("ap,fa->fp", xf[:, t:t + _UNIFY_TILE], km,
-                  out=out[:, t:t + _UNIFY_TILE])
-    return out.reshape((km.shape[0],) + x.shape[1:])
-
-
-def _unify_adjoint(x, kernel, g):
-    grad_x = np.einsum("fdhw,fc->cdhw", g, kernel[:, :, 0, 0, 0])
-    grad_k = np.einsum("fdhw,cdhw->fc", g, x)[:, :, None, None, None]
-    return grad_x, np.ascontiguousarray(grad_k)
-
-
-def _collapse(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    f, c, d = kernel.shape[:3]
-    km = kernel[:, :, :, 0, 0].reshape(f, c * d)
-    out = np.einsum("ap,fa->fp", x.reshape(c * d, -1), km)
-    return out.reshape(f, x.shape[2], x.shape[3])
-
-
-def _collapse_adjoint(x, kernel, g):
-    grad_x = np.einsum("fhw,fcd->cdhw", g, kernel[:, :, :, 0, 0])
-    grad_k = np.einsum("fhw,cdhw->fcd", g, x)[:, :, :, None, None]
-    return np.ascontiguousarray(grad_x), np.ascontiguousarray(grad_k)
+def _head_conv_adjoint(x, kernel, g):
+    km = kernel.reshape(kernel.shape[0], -1)
+    gm = g.reshape(km.shape[0], -1)
+    return (km.T @ gm).reshape(x.shape), (gm @ x.reshape(km.shape[1], -1).T).reshape(kernel.shape)
 
 
 def _check_input(config: BackboneConfig, x: np.ndarray) -> None:
@@ -227,7 +204,7 @@ def _forward_trace(bb: Backbone, x: np.ndarray):
     li = 0
     for s, (_, blocks) in enumerate(config.stages):
         if s > 0:
-            cur = _pool2(cur)
+            cur = _upsample_adjoint(cur, 2) / 4.0  # 2x2 mean pooling
         for _ in range(blocks):
             state, bias = bb.fusion_layers[li]
             z = op_forward(state, cur) + bias[:, None, None, None]
@@ -236,15 +213,15 @@ def _forward_trace(bb: Backbone, x: np.ndarray):
             cur = np.maximum(z, 0.0)
             li += 1
         stage_outputs.append(cur)
-    summed = None
-    upsampled = []
-    for s, out in enumerate(stage_outputs):
-        up = _upsample(out, 2 ** s)
-        upsampled.append(up)
-        term = _unify(up, bb.unify_kernels[s])
-        summed = term if summed is None else summed + term
-    feat = _collapse(summed, bb.collapse)
-    return feat, (block_inputs, block_pre, stage_outputs, upsampled, summed)
+    # A 1x1x1 convolution commutes with nearest-neighbour upsampling, so
+    # each stage is unified at its own resolution, then added to every
+    # pixel of its block in the full-resolution sum.
+    summed = _head_conv(stage_outputs[0], bb.unify_kernels[0], 1)
+    for s in range(1, len(stage_outputs)):
+        term = _head_conv(stage_outputs[s], bb.unify_kernels[s], 1)
+        _blocks(summed, 2 ** s)[...] += term[:, :, :, None, :, None]
+    feat = _head_conv(summed, bb.collapse, 2)
+    return feat, (block_inputs, block_pre, stage_outputs, summed)
 
 
 def forward_features(bb: Backbone, x) -> np.ndarray:
@@ -265,23 +242,19 @@ def backward_features(bb: Backbone, x, grad_map) -> BackboneGrads:
     if grad_map.shape != (cf, config.height, config.width):
         raise ShapeError(f"grad_map must be {(cf, config.height, config.width)}, "
                          f"got {grad_map.shape}")
-    feat, (block_inputs, block_pre, stage_outputs, upsampled, summed) = _forward_trace(bb, x)
+    feat, (block_inputs, block_pre, stage_outputs, summed) = _forward_trace(bb, x)
 
-    grad_summed, grad_collapse = _collapse_adjoint(summed, bb.collapse, grad_map)
-    grad_unify = []
-    grad_stage = []
-    for s, out in enumerate(stage_outputs):
-        gu, gk = _unify_adjoint(upsampled[s], bb.unify_kernels[s], grad_summed)
-        grad_unify.append(gk)
-        grad_stage.append(_upsample_adjoint(gu, 2 ** s))
+    grad_summed, grad_collapse = _head_conv_adjoint(summed, bb.collapse, grad_map)
+    grad_stage, grad_unify = zip(*(
+        _head_conv_adjoint(out, bb.unify_kernels[s], _upsample_adjoint(grad_summed, 2 ** s))
+        for s, out in enumerate(stage_outputs)))
 
-    blocks_per_stage = [b for _, b in config.stages]
     grad_fusion: list[tuple[OperatorGrads, np.ndarray]] = [None] * len(bb.fusion_layers)
     li = len(bb.fusion_layers)
     carry = None
     for s in range(len(config.stages) - 1, -1, -1):
         carry = grad_stage[s] if carry is None else carry + grad_stage[s]
-        for _ in range(blocks_per_stage[s]):
+        for _ in range(config.stages[s][1]):
             li -= 1
             state, _ = bb.fusion_layers[li]
             grad_z = carry * (block_pre[li] > 0)
@@ -289,8 +262,8 @@ def backward_features(bb: Backbone, x, grad_map) -> BackboneGrads:
             grad_fusion[li] = (opg, grad_z.sum(axis=(1, 2, 3)))
             carry = grad_in
         if s > 0:
-            carry = _pool2_adjoint(carry)
-    return BackboneGrads(grad_fusion, grad_unify, grad_collapse)
+            carry = np.repeat(np.repeat(carry, 2, axis=2), 2, axis=3) / 4.0
+    return BackboneGrads(grad_fusion, list(grad_unify), grad_collapse)
 
 
 def apply_sgd(bb: Backbone, grads: BackboneGrads, lr: float) -> Backbone:

@@ -9,9 +9,13 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import ctf
-from .backbone import BackboneConfig, forward_features, load_checkpoint, layer_dims, parse_stages
-from .costmodel import backbone_cost, format_csv, format_table
+from .backbone import (BackboneConfig, forward_features, head_layers, layer_dims,
+                       load_checkpoint, parse_stages)
+from .costmodel import (backbone_cost, format_csv, format_head_csv, format_head_table,
+                        format_table, head_rows)
 from .demo import SyntheticTaskConfig, TrainConfig, generate_task, train
 from .operators import ALL_KINDS, OperatorKind, forward as op_forward, inflate, load_operator, save_operator
 from .probes import run_check_suite
@@ -80,9 +84,10 @@ def _cmd_cost(args) -> int:
     dims = layer_dims(config)
     kinds = [OperatorKind.from_name(args.fusion)] if args.fusion else list(ALL_KINDS)
     reports = [backbone_cost(kind, dims) for kind in kinds]
-    print(format_table(reports, flops=args.flops))
-    print()
-    print(format_csv(reports), end="")
+    rows = head_rows(head_layers(config), reports)
+    print("\n\n".join([format_table(reports, flops=args.flops),
+                       format_head_table(rows, flops=args.flops),
+                       format_head_csv(rows), format_csv(reports)]), end="")
     return 0
 
 
@@ -143,6 +148,8 @@ def _cmd_inflate(args) -> int:
 
 def _cmd_forward(args) -> int:
     x = ctf.read_tensor(Path(args.input))
+    if not np.all(np.isfinite(x)):
+        raise ctf.ContainerError(f"{args.input}: input volume holds non-finite values")
     if args.operator:
         state = load_operator(Path(args.operator))
         out = op_forward(state, x)

@@ -16,6 +16,10 @@ extent and D/H/W the volume dims:
 so the overhead ratios are 1, K, 1 + Co/(Ci*K), 1, 1, and
 1 + D^2/(Co*K^2) for parameters / 1 + D/(Co*K^2) for MACs.
 
+The backbone's head (a 1x1x1 unification per stage at the stage's own
+resolution, then the Dx1x1 valid depth collapse) is counted apart, so
+the fusion totals and ratios stay those of the operators alone.
+
 MACs are the primary unit; a FLOP display doubles them (one multiply
 plus one add) and leaves every ratio unchanged.
 """
@@ -148,6 +152,37 @@ def backbone_cost(kind: OperatorKind, layers) -> CostReport:
                       Fraction(total_p, base_p), Fraction(total_m, base_m))
 
 
+@dataclass(frozen=True)
+class HeadLayer:
+    """One bias-free head convolution, 1x1 in-plane: c_out x c_in weights
+    with `taps` depth taps, each used once per output position."""
+
+    name: str
+    c_in: int
+    c_out: int
+    taps: int
+    positions: int
+
+    @property
+    def params(self) -> int:
+        return self.c_out * self.c_in * self.taps
+
+    @property
+    def macs(self) -> int:
+        return self.positions * self.params
+
+
+def head_rows(head, reports) -> list[tuple[str, str, int, int]]:
+    """(part, name, params, macs) rows: each head layer, the head total,
+    and each kind's whole network (fusion layers plus head; no biases)."""
+    params, macs = sum(h.params for h in head), sum(h.macs for h in head)
+    rows = [("head", h.name, h.params, h.macs) for h in head]
+    rows.append(("head", "total", params, macs))
+    rows += [("network", rep.kind.value, rep.total_params + params, rep.total_macs + macs)
+             for rep in reports]
+    return rows
+
+
 def _fraction_str(f: Fraction) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
@@ -173,11 +208,25 @@ def format_table(reports, flops: bool = False) -> str:
                      f"({float(rep.total_overhead_params):.4f})",
                      f"{_fraction_str(rep.total_overhead_macs)} "
                      f"({float(rep.total_overhead_macs):.4f})"])
-    widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
-    lines = []
-    for r in rows:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())
-    return "\n".join(lines)
+    return _aligned(rows)
+
+
+def _aligned(rows) -> str:
+    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
+    return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip()
+                     for r in rows)
+
+
+def format_head_table(rows, flops: bool = False) -> str:
+    """Text table of head_rows."""
+    scale = 2 if flops else 1
+    return _aligned([["part", "name", "params", "flops" if flops else "macs"]]
+                    + [[part, name, str(p), str(scale * m)] for part, name, p, m in rows])
+
+
+def format_head_csv(rows) -> str:
+    """head_rows as lines part,name,params,macs."""
+    return "\n".join(["part,name,params,macs"] + [",".join(map(str, r)) for r in rows])
 
 
 def format_csv(reports) -> str:

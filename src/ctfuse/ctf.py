@@ -81,9 +81,21 @@ def write_manifest(path, entries: dict) -> None:
     Path(path).write_text("".join(lines), encoding="utf-8")
 
 
-def read_manifest(path) -> dict:
+class Manifest(dict):
+    """Manifest entries; indexing a missing key raises ContainerError
+    naming the file and the key."""
+
+    def __init__(self, path):
+        super().__init__()
+        self.path = path
+
+    def __missing__(self, key):
+        raise ContainerError(f"{self.path}: missing key {key!r}")
+
+
+def read_manifest(path) -> Manifest:
     """Parse a key=value manifest; later duplicate keys win."""
-    entries: dict[str, str] = {}
+    entries = Manifest(path)
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):

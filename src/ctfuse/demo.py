@@ -88,14 +88,22 @@ def _place_centers(rng: SeededRng, cfg: SyntheticTaskConfig) -> tuple[tuple, tup
     def draw():
         return (int(rng.uniform(lo_h, hi_h + 1)), int(rng.uniform(lo_w, hi_w + 1)))
 
+    def far_enough(second):
+        return np.hypot(second[0] - first[0], second[1] - first[1]) >= min_sep
+
     first = draw()
     for _ in range(100):
         second = draw()
-        dist = np.hypot(second[0] - first[0], second[1] - first[1])
-        if dist >= min_sep:
+        if far_enough(second):
             return first, second
-    raise ValueError(f"could not place two blobs {min_sep:.1f} pixels apart on a "
-                     f"{cfg.height}x{cfg.width} grid after 100 attempts")
+    # Rejection sampling missed; draw from every position far enough away.
+    far = [(hh, ww) for hh in range(lo_h, hi_h + 1) for ww in range(lo_w, hi_w + 1)
+           if far_enough((hh, ww))]
+    if not far:
+        raise ValueError(f"could not place two blobs {min_sep:.1f} pixels apart on a "
+                         f"{cfg.height}x{cfg.width} grid: no grid position is that far "
+                         f"from the first centre {first}")
+    return first, far[int(rng.uniform(0, len(far)))]
 
 
 def _blob(cfg: SyntheticTaskConfig, center) -> tuple[np.ndarray, np.ndarray]:
@@ -188,20 +196,10 @@ def roc_auc(pos_scores, neg_scores) -> float:
     neg = np.asarray(neg_scores, dtype=np.float64).ravel()
     if pos.size == 0 or neg.size == 0:
         raise ValueError("roc_auc needs at least one score on each side")
-    merged = np.concatenate([pos, neg])
-    order = np.argsort(merged, kind="stable")
-    ranks = np.empty(merged.size)
-    ranks[order] = np.arange(1, merged.size + 1)
-    # average ranks within tied groups
-    sorted_vals = merged[order]
-    i = 0
-    while i < merged.size:
-        j = i
-        while j + 1 < merged.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        if j > i:
-            ranks[order[i:j + 1]] = 0.5 * (i + 1 + j + 1)
-        i = j + 1
+    # Rank 1 is the lowest score; tied scores share their mean rank.
+    _, group, counts = np.unique(np.concatenate([pos, neg]), return_inverse=True,
+                                 return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[group]
     rank_sum = ranks[:pos.size].sum()
     return float((rank_sum - pos.size * (pos.size + 1) / 2) / (pos.size * neg.size))
 
@@ -232,27 +230,12 @@ def _resolve_backbone(cfg: TrainConfig, data: TaskData) -> BackboneConfig:
     return replace(base, fusion=cfg.fusion, seed=SeededRng(cfg.seed).fork(1).seed)
 
 
-def _accumulate(total, grads):
-    if total is None:
-        return grads
-    for (ta, tb), (ga, gb) in zip(total.fusion_layers, grads.fusion_layers):
-        for arr, add in zip(ta.weight_arrays().values(), ga.weight_arrays().values()):
-            arr += add
-        tb += gb
-    for arr, add in zip(total.unify_kernels, grads.unify_kernels):
-        arr += add
-    total.collapse += grads.collapse
-    return total
-
-
-def _scale(grads, factor):
+def _grad_arrays(grads) -> list[np.ndarray]:
+    """Every gradient array of a BackboneGrads, in a fixed order."""
+    arrays = []
     for opg, bias in grads.fusion_layers:
-        for arr in opg.weight_arrays().values():
-            arr *= factor
-        bias *= factor
-    for arr in grads.unify_kernels:
-        arr *= factor
-    grads.collapse *= factor
+        arrays += [*opg.weight_arrays().values(), bias]
+    return arrays + [*grads.unify_kernels, grads.collapse]
 
 
 def train(data: TaskData, cfg: TrainConfig) -> DemoMetrics:
@@ -297,9 +280,15 @@ def train(data: TaskData, cfg: TrainConfig) -> DemoMetrics:
                 total_v += np.einsum("chw,hw->c", feat, dz)
                 total_b += float(dz.sum())
                 dfeat = head_v[:, None, None] * dz[None]
-                total = _accumulate(total, backward_features(bb, data.volumes[index], dfeat))
+                grads = backward_features(bb, data.volumes[index], dfeat)
+                if total is None:
+                    total = grads
+                else:
+                    for arr, add in zip(_grad_arrays(total), _grad_arrays(grads)):
+                        arr += add
             inv = 1.0 / len(batch)
-            _scale(total, inv)
+            for arr in _grad_arrays(total):
+                arr *= inv
             bb = apply_sgd(bb, total, cfg.learning_rate)
             head_v = head_v - cfg.learning_rate * inv * total_v
             head_b = head_b - cfg.learning_rate * inv * total_b

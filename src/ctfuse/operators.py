@@ -193,17 +193,7 @@ class OperatorState:
 
     def weight_arrays(self) -> dict[str, np.ndarray]:
         """Name -> array for every trainable tensor, in a fixed order."""
-        out: dict[str, np.ndarray] = {}
-        if self.kind is OperatorKind.ACS:
-            for name, arr in zip(("axial", "coronal", "sagittal"), self.kernels):
-                out[name] = arr
-        else:
-            out["main"] = self.kernels[0]
-        if self.aux is not None:
-            out["aux"] = self.aux
-        if self.mix is not None:
-            out["mix"] = self.mix
-        return out
+        return _named_weights(self.kernels, self.aux, self.mix)
 
     def with_weights(self, kernels=None, aux=None, mix=None) -> "OperatorState":
         """Copy of this state with some weight arrays swapped out."""
@@ -224,17 +214,14 @@ class OperatorGrads:
     mix: np.ndarray | None = None
 
     def weight_arrays(self) -> dict[str, np.ndarray]:
-        out = {}
-        if len(self.kernels) == 3:
-            for name, arr in zip(("axial", "coronal", "sagittal"), self.kernels):
-                out[name] = arr
-        else:
-            out["main"] = self.kernels[0]
-        if self.aux is not None:
-            out["aux"] = self.aux
-        if self.mix is not None:
-            out["mix"] = self.mix
-        return out
+        return _named_weights(self.kernels, self.aux, self.mix)
+
+
+def _named_weights(kernels, aux, mix) -> dict[str, np.ndarray]:
+    names = ("axial", "coronal", "sagittal") if len(kernels) == 3 else ("main",)
+    out = dict(zip(names, kernels))
+    out.update((name, arr) for name, arr in (("aux", aux), ("mix", mix)) if arr is not None)
+    return out
 
 
 def _as_kernel2d(w2d) -> np.ndarray:

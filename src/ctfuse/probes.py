@@ -207,31 +207,16 @@ def _operator_fd(kind: OperatorKind, rng: SeededRng, samples: int) -> tuple[floa
     return finite_diff_check(loss, tensors, analytic, r.fork(5), samples=samples)
 
 
-def _conv3d_fd(rng: SeededRng, samples: int) -> tuple[float, int]:
-    r = rng.fork(12)
-    x = r.uniform(-1, 1, (3, 4, 5, 5))
-    k = r.uniform(-1, 1, (4, 3, 3, 3, 3))
-    g = r.uniform(-1, 1, (4, 4, 5, 5))
-    gx, gk = conv3d_backward(x, k, g)
+def _kernel_fd(forward, backward, shapes, r: SeededRng, samples: int) -> tuple[float, int]:
+    """Finite differences of a bilinear kernel f(x, w) under <g, f(x, w)>;
+    shapes lists x, w and g in draw order."""
+    x, w, g = (r.uniform(-1, 1, shape) for shape in shapes)
+    gx, gw = backward(x, w, g)
 
     def loss(t):
-        return float(np.sum(g * conv3d_forward(t["x"], t["k"])))
+        return float(np.sum(g * forward(t["x"], t["w"])))
 
-    return finite_diff_check(loss, {"x": x, "k": k}, {"x": gx, "k": gk},
-                             r.fork(5), samples=samples)
-
-
-def _slice_contract_fd(rng: SeededRng, samples: int) -> tuple[float, int]:
-    r = rng.fork(13)
-    x = r.uniform(-1, 1, (2, 3, 4, 4))
-    p = r.uniform(-1, 1, (3, 3, 2))
-    g = r.uniform(-1, 1, (2, 3, 4, 4))
-    gx, gp = slice_contract_backward(x, p, g)
-
-    def loss(t):
-        return float(np.sum(g * slice_contract_forward(t["x"], t["p"])))
-
-    return finite_diff_check(loss, {"x": x, "p": p}, {"x": gx, "p": gp},
+    return finite_diff_check(loss, {"x": x, "w": w}, {"x": gx, "w": gw},
                              r.fork(5), samples=samples)
 
 
@@ -276,9 +261,13 @@ GRAD_TARGETS = ("conv3d", "slice_contract") + tuple(k.value for k in ALL_KINDS) 
 def grad_check(target: str, rng: SeededRng, *, samples: int = 30) -> GradCheckReport:
     """Finite-difference check of one named backward path."""
     if target == "conv3d":
-        worst, total = _conv3d_fd(rng, samples)
+        worst, total = _kernel_fd(conv3d_forward, conv3d_backward,
+                                  [(3, 4, 5, 5), (4, 3, 3, 3, 3), (4, 4, 5, 5)],
+                                  rng.fork(12), samples)
     elif target == "slice_contract":
-        worst, total = _slice_contract_fd(rng, samples)
+        worst, total = _kernel_fd(slice_contract_forward, slice_contract_backward,
+                                  [(2, 3, 4, 4), (3, 3, 2), (2, 3, 4, 4)],
+                                  rng.fork(13), samples)
     elif target == "backbone":
         worst, total = _backbone_fd(rng, samples)
     else:

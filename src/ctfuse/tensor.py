@@ -9,9 +9,11 @@ Conventions
 * "Convolution" is cross-correlation (no kernel flip), the deep-learning
   convention under which 2D-pretrained kernels stay directly usable.
 * Padding is always same-size zero padding.
-* Per-element accumulation happens in a fixed ascending order (input
-  channel, then kernel depth, row, column), so repeated evaluation of any
-  operation is bit-identical.
+* The forward convolution and slice contraction add terms in ascending
+  scalar order (input channel, then kernel depth, row, column), equal to
+  the scalar-loop references bit for bit, as the oracle and equivariance
+  tests pin.  The backward passes are BLAS matrix products: bit-identical
+  at a fixed shape and BLAS thread count, but not in the scalar order.
 * "Shift up" means output slice d reads input slice d+1; "down" reads
   d-1.  Vacated slices are zero-filled.
 
@@ -21,6 +23,7 @@ All functions are pure; inputs are never modified.
 from enum import Enum
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class ShapeError(ValueError):
@@ -80,6 +83,17 @@ def _check_conv_operands(x: np.ndarray, k: np.ndarray, pad: PadMode):
              f"kernel extents must be odd for same padding, got ({kd}, {kh}, {kw})")
 
 
+def _padded_patches(x: np.ndarray, kd: int, kh: int, kw: int) -> np.ndarray:
+    """Patch matrix of the same-padded volume: row (ci, dd, dh, dw) holds
+    x[ci, d+dd-pd, h+dh-ph, w+dw-pw] over the flattened (d, h, w)."""
+    ci, d, h, w = x.shape
+    pd, ph, pw = kd // 2, kh // 2, kw // 2
+    padded = np.zeros((ci, d + 2 * pd, h + 2 * ph, w + 2 * pw))
+    padded[:, pd:pd + d, ph:ph + h, pw:pw + w] = x
+    windows = sliding_window_view(padded, (kd, kh, kw), axis=(1, 2, 3))
+    return windows.transpose(0, 4, 5, 6, 1, 2, 3).reshape(ci * kd * kh * kw, d * h * w)
+
+
 def conv3d_forward(x, k, pad: PadMode = PadMode.SAME_ZERO) -> np.ndarray:
     """Same-padded 3D cross-correlation of a (C, D, H, W) volume.
 
@@ -90,29 +104,12 @@ def conv3d_forward(x, k, pad: PadMode = PadMode.SAME_ZERO) -> np.ndarray:
     x = as_volume(x)
     k = as_kernel5(k)
     _check_conv_operands(x, k, pad)
-    co, ci, kd, kh, kw = k.shape
-    _, d, h, w = x.shape
-    pd, ph, pw = kd // 2, kh // 2, kw // 2
-
-    padded = np.zeros((ci, d + 2 * pd, h + 2 * ph, w + 2 * pw))
-    padded[:, pd:pd + d, ph:ph + h, pw:pw + w] = x
-
-    # Patch rows are laid out in the documented accumulation order, and the
-    # single-axis einsum contraction adds them one at a time in row order
-    # (the naive-reference oracle tests pin this bit-exactly).
-    n = d * h * w
-    pat = np.empty((ci * kd * kh * kw, n))
-    row = 0
-    for c in range(ci):
-        plane = padded[c]
-        for dd in range(kd):
-            for dh in range(kh):
-                for dw in range(kw):
-                    np.copyto(pat[row].reshape(d, h, w),
-                              plane[dd:dd + d, dh:dh + h, dw:dw + w])
-                    row += 1
-    out = np.einsum("ap,fa->fp", pat, k.reshape(co, row))
-    return out.reshape(co, d, h, w)
+    co = k.shape[0]
+    pat = _padded_patches(x, *k.shape[2:])
+    # einsum adds the patch rows one at a time in row order, the ascending
+    # scalar order, which the tests pin bit-exactly; BLAS would not.
+    out = np.einsum("ap,fa->fp", pat, k.reshape(co, -1))
+    return out.reshape((co,) + x.shape[1:])
 
 
 def conv3d_backward(x, k, grad_out) -> tuple[np.ndarray, np.ndarray]:
@@ -125,21 +122,15 @@ def conv3d_backward(x, k, grad_out) -> tuple[np.ndarray, np.ndarray]:
     _, d, h, w = x.shape
     _require(grad_out.shape == (co, d, h, w),
              f"grad_out shape {grad_out.shape} does not match output shape {(co, d, h, w)}")
+    g = grad_out.reshape(co, -1)
+    grad_k = (g @ _padded_patches(x, kd, kh, kw).T).reshape(k.shape)
+    grad_padded = np.zeros((ci, d + kd - 1, h + kh - 1, w + kw - 1))
+    for dd in range(kd):
+        for dh in range(kh):
+            for dw in range(kw):
+                tap = k[:, :, dd, dh, dw].T @ g
+                grad_padded[:, dd:dd + d, dh:dh + h, dw:dw + w] += tap.reshape(ci, d, h, w)
     pd, ph, pw = kd // 2, kh // 2, kw // 2
-
-    padded = np.zeros((ci, d + 2 * pd, h + 2 * ph, w + 2 * pw))
-    padded[:, pd:pd + d, ph:ph + h, pw:pw + w] = x
-
-    grad_k = np.zeros_like(k)
-    grad_padded = np.zeros_like(padded)
-    for c in range(ci):
-        for dd in range(kd):
-            for dh in range(kh):
-                for dw in range(kw):
-                    patch = padded[c, dd:dd + d, dh:dh + h, dw:dw + w]
-                    grad_k[:, c, dd, dh, dw] = np.tensordot(grad_out, patch, axes=([1, 2, 3], [0, 1, 2]))
-                    grad_padded[c, dd:dd + d, dh:dh + h, dw:dw + w] += np.tensordot(
-                        k[:, c, dd, dh, dw], grad_out, axes=(0, 0))
     grad_x = np.ascontiguousarray(grad_padded[:, pd:pd + d, ph:ph + h, pw:pw + w])
     return grad_x, grad_k
 
@@ -180,11 +171,10 @@ def slice_contract_backward(x, mix, grad_out) -> tuple[np.ndarray, np.ndarray]:
     _check_mix_operands(x, mix)
     _require(grad_out.shape == x.shape,
              f"grad_out shape {grad_out.shape} does not match output shape {x.shape}")
-    d = x.shape[1]
-    grad_x = np.zeros_like(x)
-    for dst in range(d):
-        grad_x += mix[:, dst].T[:, :, None, None] * grad_out[:, dst][:, None, :, :]
-    grad_mix = np.einsum("cdhw,cjhw->djc", x, grad_out)
+    c, d = x.shape[:2]
+    xs, gs = x.reshape(c, d, -1), grad_out.reshape(c, d, -1)
+    grad_x = (mix.transpose(2, 0, 1) @ gs).reshape(x.shape)
+    grad_mix = (xs @ gs.transpose(0, 2, 1)).transpose(1, 2, 0)
     return grad_x, np.ascontiguousarray(grad_mix)
 
 

@@ -53,6 +53,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             BackboneConfig(stages=((4, 0),))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1])
+    def test_bad_a3d_perturb_rejected(self, bad):
+        with pytest.raises(ValueError, match="a3d_perturb"):
+            BackboneConfig(a3d_perturb=bad)
+
     def test_parse_stages(self):
         assert parse_stages("64x1,256x2") == ((64, 1), (256, 2))
         assert parse_stages("8") == ((8, 1),)
@@ -158,6 +163,28 @@ class TestForward:
         stage = np.maximum(op_forward(state, x) + bias[:, None, None, None], 0.0)
         want = np.einsum("cdhw,d->chw", stage, w)
         assert np.max(np.abs(feat - want)) <= 1e-12
+
+    def test_matches_full_resolution_unify(self):
+        """Unifying each stage before upsampling it equals the textbook
+        order: upsample every stage to full resolution, then unify."""
+        from ctfuse.operators import forward as op_forward
+        c = BackboneConfig(depth=3, stages=((4, 1), (6, 2), (8, 1)), height=8, width=12,
+                           fusion=OperatorKind.A3D, seed=13)
+        bb = build(c)
+        x = rand_input(c)
+        cur, summed, li = x, 0.0, 0
+        for s, (_, blocks) in enumerate(c.stages):
+            if s > 0:
+                ch, d, h, w = cur.shape
+                cur = cur.reshape(ch, d, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+            for _ in range(blocks):
+                state, bias = bb.fusion_layers[li]
+                cur = np.maximum(op_forward(state, cur) + bias[:, None, None, None], 0.0)
+                li += 1
+            up = np.repeat(np.repeat(cur, 2 ** s, axis=2), 2 ** s, axis=3)
+            summed = summed + np.einsum("cdhw,fc->fdhw", up, bb.unify_kernels[s][:, :, 0, 0, 0])
+        want = np.einsum("cdhw,fcd->fhw", summed, bb.collapse[:, :, :, 0, 0])
+        assert np.max(np.abs(forward_features(bb, x) - want)) <= 1e-12
 
     def test_wrong_depth_rejected(self):
         c = BackboneConfig(**TINY)

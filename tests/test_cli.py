@@ -65,6 +65,14 @@ class TestCost:
         assert "flops" not in plain
         assert "flops" in with_flops
 
+    def test_head_rows_and_network_total(self, capsys):
+        assert main(["cost", "--fusion", "nofusion"]) == 0
+        out = capsys.readouterr().out
+        assert "head,unify0,32768,234881024" in out
+        assert "head,collapse,1835008,1879048192" in out
+        assert "head,total,2260992,2466250752" in out
+        assert "network,nofusion,3588672,3263102976" in out
+
     def test_invalid_stage_string_error_is_clean(self, capsys):
         assert main(["cost", "--stages", "64xx1"]) == 1
         assert "error:" in capsys.readouterr().err
@@ -184,3 +192,66 @@ class TestInflateForward:
                      "--input", str(tmp_path / "bad.ctf"),
                      "--out", str(tmp_path / "y.ctf")]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+def assert_clean_failure(capsys, *fragments):
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    for fragment in fragments:
+        assert fragment in err
+
+
+class TestBadInputs:
+    def _operator(self, tmp_path):
+        ctf.write_tensor(tmp_path / "w.ctf", np.ones((2, 2, 3, 3)))
+        op_dir = tmp_path / "op"
+        assert main(["inflate", "--kernel", str(tmp_path / "w.ctf"), "--fusion",
+                     "tsm", "--depth", "3", "--out", str(op_dir)]) == 0
+        ctf.write_tensor(tmp_path / "vol.ctf", np.ones((2, 3, 4, 4)))
+        return op_dir
+
+    def _checkpoint(self, tmp_path):
+        bb = build(BackboneConfig(depth=3, stages=((4, 1),), height=8, width=8,
+                                  fusion=OperatorKind.A3D))
+        save_checkpoint(bb, tmp_path / "ckpt")
+        ctf.write_tensor(tmp_path / "vol.ctf", np.ones((1, 3, 8, 8)))
+        return tmp_path / "ckpt"
+
+    def _forward(self, flag, path, tmp_path):
+        return main(["forward", flag, str(path), "--input", str(tmp_path / "vol.ctf"),
+                     "--out", str(tmp_path / "y.ctf")])
+
+    def test_operator_manifest_missing_key(self, tmp_path, capsys):
+        op_dir = self._operator(tmp_path)
+        manifest = op_dir / "operator.txt"
+        lines = manifest.read_text().splitlines(keepends=True)
+        manifest.write_text("".join(ln for ln in lines if not ln.startswith("shift_up=")))
+        assert self._forward("--operator", op_dir, tmp_path) == 1
+        assert_clean_failure(capsys, "operator.txt", "'shift_up'")
+
+    def test_backbone_manifest_missing_key(self, tmp_path, capsys):
+        ckpt = self._checkpoint(tmp_path)
+        manifest = ckpt / "backbone.txt"
+        lines = manifest.read_text().splitlines(keepends=True)
+        manifest.write_text("".join(ln for ln in lines if not ln.startswith("stages=")))
+        assert self._forward("--backbone", ckpt, tmp_path) == 1
+        assert_clean_failure(capsys, "backbone.txt", "'stages'")
+
+    def test_non_finite_a3d_perturb(self, tmp_path, capsys):
+        ckpt = self._checkpoint(tmp_path)
+        manifest = ckpt / "backbone.txt"
+        lines = manifest.read_text().splitlines(keepends=True)
+        manifest.write_text("".join("a3d_perturb=nan\n" if ln.startswith("a3d_perturb=")
+                                    else ln for ln in lines))
+        assert self._forward("--backbone", ckpt, tmp_path) == 1
+        assert_clean_failure(capsys, "a3d_perturb")
+
+    def test_non_finite_input_volume(self, tmp_path, capsys):
+        op_dir = self._operator(tmp_path)
+        x = np.ones((2, 3, 4, 4))
+        x[1, 2, 3, 0] = np.nan
+        ctf.write_tensor(tmp_path / "vol.ctf", x)
+        assert self._forward("--operator", op_dir, tmp_path) == 1
+        assert_clean_failure(capsys, "vol.ctf", "non-finite")
+        assert not (tmp_path / "y.ctf").exists()

@@ -4,13 +4,17 @@ from fractions import Fraction
 
 import pytest
 
+from ctfuse.backbone import BackboneConfig, build, head_layers, layer_dims
 from ctfuse.costmodel import (
     LayerDims,
     backbone_cost,
     count_macs,
     count_params,
     format_csv,
+    format_head_csv,
+    format_head_table,
     format_table,
+    head_rows,
     overhead_macs,
     overhead_params,
 )
@@ -159,6 +163,39 @@ class TestReport:
     def test_acs_needs_three_out_channels(self):
         with pytest.raises(ValueError):
             count_params(OperatorKind.ACS, LayerDims(4, 2, 3, 3, 4, 4))
+
+
+class TestHead:
+    def test_default_nofusion_head_and_network(self):
+        """Unify at each stage's own resolution plus the Dx1x1 collapse."""
+        config = BackboneConfig()
+        head = head_layers(config)
+        assert [h.macs for h in head] == [234_881_024, 234_881_024, 117_440_512,
+                                          1_879_048_192]
+        fusion = backbone_cost(OperatorKind.NOFUSION, layer_dims(config))
+        assert fusion.total_macs == 796_852_224
+        rows = head_rows(head, [fusion])
+        assert rows[-2] == ("head", "total", 2_260_992, 2_466_250_752)
+        assert rows[-1] == ("network", "nofusion", fusion.total_params + 2_260_992,
+                            796_852_224 + 2_466_250_752)
+
+    def test_head_params_match_built_weights(self):
+        config = BackboneConfig(depth=3, stages=((4, 1), (6, 2)), height=8, width=8)
+        bb = build(config)
+        sizes = [k.size for k in bb.unify_kernels] + [bb.collapse.size]
+        assert [h.params for h in head_layers(config)] == sizes
+
+    def test_head_csv_and_table(self):
+        config = BackboneConfig(depth=3, stages=((4, 1), (6, 1)), height=8, width=8)
+        reports = [backbone_cost(k, layer_dims(config)) for k in ALL_KINDS]
+        rows = head_rows(head_layers(config), reports)
+        assert len(rows) == 3 + 1 + len(ALL_KINDS)
+        lines = format_head_csv(rows).splitlines()
+        assert lines[0] == "part,name,params,macs"
+        assert lines[1:] == [f"{a},{b},{c},{d}" for a, b, c, d in rows]
+        table = format_head_table(rows, flops=True).splitlines()
+        assert "flops" in table[0]
+        assert table[-1].split() == ["network", "a3d", str(rows[-1][2]), str(2 * rows[-1][3])]
 
 
 class TestFormatting:

@@ -102,9 +102,20 @@ class TestTaskGeneration:
             SyntheticTaskConfig(height=8, width=8, blob_radius=4.0)
 
     def test_unplaceable_blobs_raise_after_attempts(self):
-        with pytest.raises(ValueError, match="100 attempts"):
+        with pytest.raises(ValueError, match="no grid position"):
             generate_task(SyntheticTaskConfig(volumes=2, height=16, width=16,
                                               blob_radius=5.5))
+
+    @pytest.mark.parametrize("seed", [30, 409])
+    def test_seeds_that_miss_rejection_still_place_blobs_apart(self, seed):
+        """These seeds exhaust the 100 rejection draws for some volume; the
+        fallback still puts the centres at least 2r+1 apart."""
+        cfg = SyntheticTaskConfig(seed=seed)
+        data = generate_task(cfg)
+        for pos, dist in zip(data.masks, data.distractor_masks):
+            # Each footprint is a disk around its integer centre.
+            gap = np.argwhere(pos).mean(axis=0) - np.argwhere(dist).mean(axis=0)
+            assert np.hypot(*gap) >= 2 * cfg.blob_radius + 1
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="volumes"):

@@ -170,6 +170,50 @@ class TestConv3dBackward:
             conv3d_backward(np.ones((1, 2, 3, 3)), np.ones((2, 1, 1, 3, 3)),
                             np.ones((1, 2, 3, 3)))
 
+    @staticmethod
+    def random_cases():
+        """Random operands with kd in {1, 3, 5}, non-square H/W and mixed
+        in-plane extents."""
+        rng = SeededRng(112)
+        for trial in range(6):
+            r = rng.fork(trial)
+            ci, co = 1 + trial % 3, 1 + (trial * 2) % 4
+            kd = (1, 3, 5)[trial % 3]
+            kh, kw = ((3, 3), (1, 3), (3, 5))[trial // 2]
+            d, h, w = 2 + trial % 4, 3 + trial % 2, 5
+            yield (r.uniform(-2, 2, (ci, d, h, w)), r.uniform(-2, 2, (co, ci, kd, kh, kw)),
+                   r.uniform(-2, 2, (co, d, h, w)))
+
+    def test_grad_x_is_flipped_transposed_conv(self):
+        """The input gradient is the same-padded correlation of grad_out
+        with the kernel flipped in every axis and channel-transposed."""
+        for x, k, g in self.random_cases():
+            gx, _ = conv3d_backward(x, k, g)
+            flipped = np.ascontiguousarray(k.transpose(1, 0, 2, 3, 4)[:, :, ::-1, ::-1, ::-1])
+            assert np.max(np.abs(gx - conv3d_forward(g, flipped))) <= 1e-12
+
+    def test_grad_k_matches_scalar_loop(self):
+        for x, k, g in self.random_cases():
+            _, gk = conv3d_backward(x, k, g)
+            co, ci, kd, kh, kw = k.shape
+            _, d, h, w = x.shape
+            padded = np.zeros((ci, d + kd - 1, h + kh - 1, w + kw - 1))
+            padded[:, kd // 2:kd // 2 + d, kh // 2:kh // 2 + h, kw // 2:kw // 2 + w] = x
+            want = np.zeros_like(k)
+            for o, i, a, b, c in np.ndindex(k.shape):
+                acc = 0.0
+                for z, y, v in np.ndindex(d, h, w):
+                    acc += g[o, z, y, v] * padded[i, z + a, y + b, v + c]
+                want[o, i, a, b, c] = acc
+            assert np.max(np.abs(gk - want)) <= 1e-12
+
+    def test_repeats_bitwise(self):
+        for x, k, g in self.random_cases():
+            gx1, gk1 = conv3d_backward(x, k, g)
+            gx2, gk2 = conv3d_backward(x, k, g)
+            assert gx1.tobytes() == gx2.tobytes()
+            assert gk1.tobytes() == gk2.tobytes()
+
 
 class TestSliceContract:
     def test_identity_mix_is_identity(self):
@@ -210,6 +254,22 @@ class TestSliceContract:
         g = rng.uniform(-1, 1, (2, 3, 2, 2))
         gx, _ = slice_contract_backward(x, identity_mix(3, 2), g)
         assert np.array_equal(gx, g)
+
+    def test_backward_matches_scalar_loop_and_repeats(self):
+        rng = SeededRng(124)
+        for c, d, h, w in ((1, 1, 1, 1), (2, 3, 4, 5), (3, 5, 2, 3)):
+            x = rng.uniform(-2, 2, (c, d, h, w))
+            p = rng.uniform(-2, 2, (d, d, c))
+            g = rng.uniform(-2, 2, (c, d, h, w))
+            gx, gp = slice_contract_backward(x, p, g)
+            want_x, want_p = np.zeros_like(x), np.zeros_like(p)
+            for ch, i, j in np.ndindex(c, d, d):
+                want_x[ch, i] += g[ch, j] * p[i, j, ch]
+                want_p[i, j, ch] = np.sum(x[ch, i] * g[ch, j])
+            assert np.max(np.abs(gx - want_x)) <= 1e-12
+            assert np.max(np.abs(gp - want_p)) <= 1e-12
+            gx2, gp2 = slice_contract_backward(x, p, g)
+            assert gx.tobytes() == gx2.tobytes() and gp.tobytes() == gp2.tobytes()
 
     def test_backward_zero_input_zeroes_grad_p(self):
         g = np.ones((2, 3, 2, 2))
