@@ -24,7 +24,6 @@ from .operators import (
 )
 from .rng import SeededRng
 from .tensor import (
-    PadMode,
     ShapeError,
     axial_shift,
     conv3d_backward,
@@ -42,7 +41,6 @@ __all__ = [
     "OperatorGrads",
     "OperatorKind",
     "OperatorState",
-    "PadMode",
     "SeededRng",
     "ShapeError",
     "acs_split",

@@ -171,7 +171,12 @@ def _blocks(x: np.ndarray, f: int) -> np.ndarray:
 
 
 def _upsample_adjoint(g: np.ndarray, f: int) -> np.ndarray:
-    return g if f == 1 else _blocks(g, f).sum(axis=(3, 5))
+    """Sum of every f x f block: the adjoint of nearest-neighbour
+    upsampling by f, and 4x the 2x2 mean pool for f = 2.  Adds the f
+    columns, then the f rows: for f <= 4 and W/f >= 2 (every demo and
+    default shape) the bits of _blocks(g, f).sum(axis=(3, 5))."""
+    cols = sum((g[..., j::f] for j in range(1, f)), g[..., 0::f])
+    return sum((cols[:, :, i::f] for i in range(1, f)), cols[:, :, 0::f])
 
 
 def _head_conv(x: np.ndarray, kernel: np.ndarray, lead: int) -> np.ndarray:
@@ -195,10 +200,11 @@ def _check_input(config: BackboneConfig, x: np.ndarray) -> None:
 
 
 def _forward_trace(bb: Backbone, x: np.ndarray):
-    """Run the network, keeping every intermediate the adjoints need."""
+    """Run the network, keeping every intermediate the adjoints need:
+    per fusion layer its input, pre-activation and operator inner tensor,
+    then each stage's output and the unified full-resolution sum."""
     config = bb.config
-    block_inputs = []
-    block_pre = []
+    layers = []
     stage_outputs = []
     cur = x
     li = 0
@@ -207,9 +213,9 @@ def _forward_trace(bb: Backbone, x: np.ndarray):
             cur = _upsample_adjoint(cur, 2) / 4.0  # 2x2 mean pooling
         for _ in range(blocks):
             state, bias = bb.fusion_layers[li]
-            z = op_forward(state, cur) + bias[:, None, None, None]
-            block_inputs.append(cur)
-            block_pre.append(z)
+            y, inner = op_forward(state, cur, return_inner=True)
+            z = y + bias[:, None, None, None]
+            layers.append((cur, z, inner))
             cur = np.maximum(z, 0.0)
             li += 1
         stage_outputs.append(cur)
@@ -221,19 +227,38 @@ def _forward_trace(bb: Backbone, x: np.ndarray):
         term = _head_conv(stage_outputs[s], bb.unify_kernels[s], 1)
         _blocks(summed, 2 ** s)[...] += term[:, :, :, None, :, None]
     feat = _head_conv(summed, bb.collapse, 2)
-    return feat, (block_inputs, block_pre, stage_outputs, summed)
+    return feat, (layers, stage_outputs, summed)
 
 
-def forward_features(bb: Backbone, x) -> np.ndarray:
-    """Map a (1, D, H, W) volume to the rank-3 (Cfeat, H, W) feature map."""
+@dataclass
+class Tape:
+    """What one forward_features call computed, for backward_features on
+    the same backbone and input to read instead of running the forward
+    again.  forward_features(bb, x, Tape()) fills it."""
+
+    backbone: Backbone | None = None
+    x: np.ndarray | None = None
+    trace: tuple | None = None
+
+
+def forward_features(bb: Backbone, x, tape: Tape | None = None) -> np.ndarray:
+    """Map a (1, D, H, W) volume to the rank-3 (Cfeat, H, W) feature map,
+    recording the intermediates on tape when one is given."""
     x = as_volume(x)
     _check_input(bb.config, x)
-    feat, _ = _forward_trace(bb, x)
+    feat, trace = _forward_trace(bb, x)
+    if tape is not None:
+        tape.backbone, tape.x, tape.trace = bb, x.copy(), trace
     return feat
 
 
-def backward_features(bb: Backbone, x, grad_map) -> BackboneGrads:
-    """Exact adjoints for every weight given the feature-map gradient."""
+def backward_features(bb: Backbone, x, grad_map, tape: Tape | None = None) -> BackboneGrads:
+    """Exact adjoints for every weight given the feature-map gradient.
+
+    Reads the forward's intermediates from the tape forward_features(bb,
+    x, tape) filled, or reruns the forward without one.  A tape filled
+    for another backbone or input raises ValueError.
+    """
     x = as_volume(x)
     _check_input(bb.config, x)
     grad_map = np.ascontiguousarray(grad_map, dtype=np.float64)
@@ -242,7 +267,13 @@ def backward_features(bb: Backbone, x, grad_map) -> BackboneGrads:
     if grad_map.shape != (cf, config.height, config.width):
         raise ShapeError(f"grad_map must be {(cf, config.height, config.width)}, "
                          f"got {grad_map.shape}")
-    feat, (block_inputs, block_pre, stage_outputs, summed) = _forward_trace(bb, x)
+    if tape is None:
+        _, trace = _forward_trace(bb, x)
+    elif tape.backbone is bb and np.array_equal(tape.x, x, equal_nan=True):
+        trace = tape.trace
+    else:
+        raise ValueError("tape holds no forward of this backbone on this input")
+    layers, stage_outputs, summed = trace
 
     grad_summed, grad_collapse = _head_conv_adjoint(summed, bb.collapse, grad_map)
     grad_stage, grad_unify = zip(*(
@@ -257,8 +288,9 @@ def backward_features(bb: Backbone, x, grad_map) -> BackboneGrads:
         for _ in range(config.stages[s][1]):
             li -= 1
             state, _ = bb.fusion_layers[li]
-            grad_z = carry * (block_pre[li] > 0)
-            grad_in, opg = op_backward(state, block_inputs[li], grad_z)
+            layer_in, pre, inner = layers[li]
+            grad_z = carry * (pre > 0)
+            grad_in, opg = op_backward(state, layer_in, grad_z, inner)
             grad_fusion[li] = (opg, grad_z.sum(axis=(1, 2, 3)))
             carry = grad_in
         if s > 0:
@@ -320,6 +352,12 @@ def save_checkpoint(bb: Backbone, dirpath) -> None:
 
 
 def load_checkpoint(dirpath) -> Backbone:
+    """Read back a directory written by save_checkpoint.
+
+    Every layer's operator must be of the manifest's fusion kind and map
+    the channels its stages imply; a disagreement raises ContainerError
+    naming the manifest and key.
+    """
     path = Path(dirpath)
     m = ctf.read_manifest(path / _MANIFEST_NAME)
     config = BackboneConfig(
@@ -332,10 +370,16 @@ def load_checkpoint(dirpath) -> Backbone:
         a3d_perturb=float(m["a3d_perturb"]),
         tsm_div=int(m["tsm_div"]),
     )
-    n_layers = sum(b for _, b in config.stages)
     fusion_layers = []
-    for i in range(n_layers):
+    for i, dims in enumerate(layer_dims(config)):
         state = load_operator(path / f"layer{i}")
+        if state.kind is not config.fusion:
+            raise ctf.ContainerError(f"{m.path}: fusion={m['fusion']}, but layer{i} holds "
+                                     f"a {state.kind.value} operator")
+        if (state.c_in, state.c_out) != (dims.c_in, dims.c_out):
+            raise ctf.ContainerError(
+                f"{m.path}: stages={m['stages']} gives layer{i} {dims.c_in} -> {dims.c_out} "
+                f"channels, but it holds {state.c_in} -> {state.c_out}")
         bias = ctf.read_tensor(path / f"layer{i}_bias.ctf")
         fusion_layers.append((state, bias))
     unify = [ctf.read_tensor(path / f"unify{s}.ctf") for s in range(len(config.stages))]

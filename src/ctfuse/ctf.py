@@ -92,6 +92,17 @@ class Manifest(dict):
     def __missing__(self, key):
         raise ContainerError(f"{self.path}: missing key {key!r}")
 
+    def expect(self, key, actual: int) -> None:
+        """Raise ContainerError naming the file and key unless the key
+        holds the integer `actual`, the value the loaded tensors give."""
+        text = self[key]
+        try:
+            agrees = int(text) == actual
+        except ValueError:
+            agrees = False
+        if not agrees:
+            raise ContainerError(f"{self.path}: {key}={text}, but the tensors give {actual}")
+
 
 def read_manifest(path) -> Manifest:
     """Parse a key=value manifest; later duplicate keys win."""

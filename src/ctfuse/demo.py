@@ -23,6 +23,7 @@ import numpy as np
 
 from .backbone import (
     BackboneConfig,
+    Tape,
     apply_sgd,
     backward_features,
     build,
@@ -58,6 +59,9 @@ class SyntheticTaskConfig:
             raise ValueError(f"need at least 2 volumes, got {self.volumes}")
         if self.depth < 3:
             raise ValueError(f"depth must be >= 3 for a 3-slice profile, got {self.depth}")
+        for name in ("blob_radius", "amplitude", "noise_sigma"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.blob_radius <= 0 or self.amplitude <= 0:
             raise ValueError("blob_radius and amplitude must be positive")
         if self.noise_sigma < 0:
@@ -161,8 +165,8 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate < 0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not np.isfinite(self.learning_rate) or self.learning_rate < 0:
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if not 0 < self.val_fraction < 1:
             raise ValueError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
 
@@ -260,8 +264,8 @@ def train(data: TaskData, cfg: TrainConfig) -> DemoMetrics:
     labels = data.masks.astype(np.float64)
     n_pix = data.config.height * data.config.width
 
-    def logits_for(model, v, b, index):
-        feat = forward_features(model, data.volumes[index])
+    def logits_for(model, v, b, index, tape=None):
+        feat = forward_features(model, data.volumes[index], tape)
         return feat, np.einsum("chw,c->hw", feat, v) + b
 
     train_curve, val_curve, auc_curve = [], [], []
@@ -274,13 +278,14 @@ def train(data: TaskData, cfg: TrainConfig) -> DemoMetrics:
             total_v = np.zeros_like(head_v)
             total_b = 0.0
             for index in batch:
-                feat, z = logits_for(bb, head_v, head_b, index)
+                tape = Tape()
+                feat, z = logits_for(bb, head_v, head_b, index, tape)
                 epoch_losses[index] = _bce(z, labels[index])
                 dz = (_sigmoid(z) - labels[index]) / n_pix
                 total_v += np.einsum("chw,hw->c", feat, dz)
                 total_b += float(dz.sum())
                 dfeat = head_v[:, None, None] * dz[None]
-                grads = backward_features(bb, data.volumes[index], dfeat)
+                grads = backward_features(bb, data.volumes[index], dfeat, tape)
                 if total is None:
                     total = grads
                 else:

@@ -307,27 +307,47 @@ def _check_input(state: OperatorState, x: np.ndarray) -> None:
         raise ShapeError(f"a3d state mixes {state.mix.shape[0]} slices, input has {x.shape[1]}")
 
 
-def forward(state: OperatorState, x) -> np.ndarray:
-    """Apply the operator to a (Cin, D, H, W) volume, yielding (Cout, D, H, W)."""
+def _first_stage(state: OperatorState, x: np.ndarray) -> np.ndarray | None:
+    """The tensor between a two-stage operator's stages: p3d's in-plane
+    conv output (mid), tsm's shifted input, a3d's slice-mixed input.
+    Single-stage kinds have none."""
+    kind = state.kind
+    if kind is OperatorKind.P3D:
+        return conv3d_forward(x, state.kernels[0])
+    if kind is OperatorKind.TSM:
+        return axial_shift(x, state.shift_splits)
+    if kind is OperatorKind.A3D:
+        return slice_contract_forward(x, state.mix)
+    return None
+
+
+def forward(state: OperatorState, x, return_inner: bool = False):
+    """Apply the operator to a (Cin, D, H, W) volume, yielding (Cout, D, H, W).
+
+    With return_inner, return (output, inner) instead, where inner is the
+    tensor between the operator's two stages (p3d's mid, tsm's shifted
+    input, a3d's mixed input; None for the single-stage kinds).  backward
+    takes it in place of recomputing it.
+    """
     x = as_volume(x)
     _check_input(state, x)
     kind = state.kind
-    if kind in (OperatorKind.NOFUSION, OperatorKind.I3D):
-        return conv3d_forward(x, state.kernels[0])
+    inner = _first_stage(state, x)
     if kind is OperatorKind.P3D:
-        return conv3d_forward(conv3d_forward(x, state.kernels[0]), state.aux)
-    if kind is OperatorKind.ACS:
-        parts = [conv3d_forward(x, k) for k in state.kernels]
-        return np.concatenate(parts, axis=0)
-    if kind is OperatorKind.TSM:
-        return conv3d_forward(axial_shift(x, state.shift_splits), state.kernels[0])
-    if kind is OperatorKind.A3D:
-        return conv3d_forward(slice_contract_forward(x, state.mix), state.kernels[0])
-    raise ValueError(f"unhandled kind {kind!r}")
+        out = conv3d_forward(inner, state.aux)
+    elif kind is OperatorKind.ACS:
+        out = np.concatenate([conv3d_forward(x, k) for k in state.kernels], axis=0)
+    else:
+        out = conv3d_forward(x if inner is None else inner, state.kernels[0])
+    return (out, inner) if return_inner else out
 
 
-def backward(state: OperatorState, x, grad_out) -> tuple[np.ndarray, OperatorGrads]:
-    """Exact adjoints of forward: input gradient plus per-weight gradients."""
+def backward(state: OperatorState, x, grad_out, inner=None) -> tuple[np.ndarray, OperatorGrads]:
+    """Exact adjoints of forward: input gradient plus per-weight gradients.
+
+    inner is the tensor forward(state, x, return_inner=True) returned
+    beside the output; without it, backward recomputes it from x.
+    """
     x = as_volume(x)
     grad_out = as_volume(grad_out, "grad_out")
     _check_input(state, x)
@@ -335,13 +355,14 @@ def backward(state: OperatorState, x, grad_out) -> tuple[np.ndarray, OperatorGra
     if grad_out.shape != (state.c_out, d, h, w):
         raise ShapeError(f"grad_out shape {grad_out.shape} does not match "
                          f"output shape {(state.c_out, d, h, w)}")
+    if inner is None:
+        inner = _first_stage(state, x)
     kind = state.kind
     if kind in (OperatorKind.NOFUSION, OperatorKind.I3D):
         grad_x, grad_k = conv3d_backward(x, state.kernels[0], grad_out)
         return grad_x, OperatorGrads((grad_k,))
     if kind is OperatorKind.P3D:
-        mid = conv3d_forward(x, state.kernels[0])
-        grad_mid, grad_aux = conv3d_backward(mid, state.aux, grad_out)
+        grad_mid, grad_aux = conv3d_backward(inner, state.aux, grad_out)
         grad_x, grad_main = conv3d_backward(x, state.kernels[0], grad_mid)
         return grad_x, OperatorGrads((grad_main,), aux=grad_aux)
     if kind is OperatorKind.ACS:
@@ -355,12 +376,10 @@ def backward(state: OperatorState, x, grad_out) -> tuple[np.ndarray, OperatorGra
             grad_ks.append(gk)
         return grad_x, OperatorGrads(tuple(grad_ks))
     if kind is OperatorKind.TSM:
-        shifted = axial_shift(x, state.shift_splits)
-        grad_shifted, grad_k = conv3d_backward(shifted, state.kernels[0], grad_out)
+        grad_shifted, grad_k = conv3d_backward(inner, state.kernels[0], grad_out)
         return axial_shift_adjoint(grad_shifted, state.shift_splits), OperatorGrads((grad_k,))
     if kind is OperatorKind.A3D:
-        mixed = slice_contract_forward(x, state.mix)
-        grad_mixed, grad_k = conv3d_backward(mixed, state.kernels[0], grad_out)
+        grad_mixed, grad_k = conv3d_backward(inner, state.kernels[0], grad_out)
         grad_x, grad_mix = slice_contract_backward(x, state.mix, grad_mixed)
         return grad_x, OperatorGrads((grad_k,), mix=grad_mix)
     raise ValueError(f"unhandled kind {kind!r}")
@@ -426,7 +445,12 @@ def save_operator(state: OperatorState, dirpath) -> None:
 
 
 def load_operator(dirpath) -> OperatorState:
-    """Read back a directory written by save_operator."""
+    """Read back a directory written by save_operator.
+
+    The manifest's c_out, c_in, k and depth must agree with the loaded
+    tensors' shapes (depth only for a3d, whose mixing stack fixes it);
+    a disagreement raises ContainerError naming the manifest and key.
+    """
     path = Path(dirpath)
     entries = ctf.read_manifest(path / _MANIFEST_NAME)
     kind = OperatorKind.from_name(entries["kind"])
@@ -436,15 +460,21 @@ def load_operator(dirpath) -> OperatorState:
     if kind is OperatorKind.ACS:
         splits = (int(entries["acs_axial"]), int(entries["acs_coronal"]),
                   int(entries["acs_sagittal"]))
-        return OperatorState(kind, _acs_kernels_from_planes(main, splits),
-                             acs_splits=splits, depth_hint=depth, seed=seed)
-    if kind is OperatorKind.P3D:
+        state = OperatorState(kind, _acs_kernels_from_planes(main, splits),
+                              acs_splits=splits, depth_hint=depth, seed=seed)
+    elif kind is OperatorKind.P3D:
         aux = ctf.read_tensor(path / "aux.ctf")
-        return OperatorState(kind, (main,), aux=aux, depth_hint=depth, seed=seed)
-    if kind is OperatorKind.TSM:
+        state = OperatorState(kind, (main,), aux=aux, depth_hint=depth, seed=seed)
+    elif kind is OperatorKind.TSM:
         splits = (int(entries["shift_up"]), int(entries["shift_down"]))
-        return OperatorState(kind, (main,), shift_splits=splits, depth_hint=depth, seed=seed)
-    if kind is OperatorKind.A3D:
+        state = OperatorState(kind, (main,), shift_splits=splits, depth_hint=depth, seed=seed)
+    elif kind is OperatorKind.A3D:
         mix = ctf.read_tensor(path / "p.ctf")
-        return OperatorState(kind, (main,), mix=mix, depth_hint=depth, seed=seed)
-    return OperatorState(kind, (main,), depth_hint=depth, seed=seed)
+        state = OperatorState(kind, (main,), mix=mix, seed=seed)
+    else:
+        state = OperatorState(kind, (main,), depth_hint=depth, seed=seed)
+    for key in ("c_out", "c_in", "k"):
+        entries.expect(key, getattr(state, key))
+    if depth is not None:
+        entries.expect("depth", state.depth_hint)
+    return state

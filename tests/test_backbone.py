@@ -7,6 +7,8 @@ from ctfuse.backbone import (
     KERNEL_SIZE,
     Backbone,
     BackboneConfig,
+    Tape,
+    _upsample_adjoint,
     apply_sgd,
     backward_features,
     build,
@@ -18,7 +20,7 @@ from ctfuse.backbone import (
     total_parameters,
 )
 from ctfuse.costmodel import count_params
-from ctfuse.operators import OperatorKind
+from ctfuse.operators import ALL_KINDS, OperatorKind
 from ctfuse.rng import SeededRng
 from ctfuse.tensor import ShapeError
 
@@ -323,6 +325,64 @@ class TestBackward:
         bb = build(c)
         with pytest.raises(ShapeError):
             backward_features(bb, rand_input(c), np.zeros((4, 8, 7)))
+
+
+def grad_bytes(grads):
+    arrays = [*grads.unify_kernels, grads.collapse]
+    for opg, bias in grads.fusion_layers:
+        arrays += [*opg.weight_arrays().values(), bias]
+    return [a.tobytes() for a in arrays]
+
+
+class TestTape:
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    def test_taped_backward_gives_the_same_bits(self, kind):
+        c = BackboneConfig(**TWO_STAGE, fusion=kind)
+        bb = build(c)
+        x = rand_input(c)
+        g = SeededRng(610).uniform(-1, 1, (6, 8, 8))
+        tape = Tape()
+        assert forward_features(bb, x, tape).tobytes() == forward_features(bb, x).tobytes()
+        assert grad_bytes(backward_features(bb, x, g, tape)) == grad_bytes(
+            backward_features(bb, x, g))
+
+    def test_tape_for_another_input_or_backbone_rejected(self):
+        c = BackboneConfig(**TINY)
+        bb = build(c)
+        x = rand_input(c)
+        g = np.zeros((4, 8, 8))
+        tape = Tape()
+        forward_features(bb, x, tape)
+        with pytest.raises(ValueError, match="tape"):
+            backward_features(bb, rand_input(c, seed=6), g, tape)
+        with pytest.raises(ValueError, match="tape"):
+            backward_features(build(c), x, g, tape)
+        stepped = apply_sgd(bb, backward_features(bb, x, g, tape), 0.1)
+        with pytest.raises(ValueError, match="tape"):
+            backward_features(stepped, x, g, tape)
+        with pytest.raises(ValueError, match="tape"):
+            backward_features(bb, x, g, Tape())
+        x[0, 1, 2, 3] += 1.0  # the input changed in place after the forward
+        with pytest.raises(ValueError, match="tape"):
+            backward_features(bb, x, g, tape)
+
+    @pytest.mark.parametrize("f", [1, 2, 4])
+    def test_upsample_adjoint_is_the_block_sum(self, f):
+        """Bit for bit the block sum it replaced while a row holds at least
+        two blocks; to rounding when W = f, where numpy's sum adds the
+        block's f*f pixels in one flat run."""
+        rng = SeededRng(620 + f)
+        for trial in range(40):
+            c, d, hb = (1 + int(rng.uniform(0, 4)) for _ in range(3))
+            wb = 1 if trial % 4 == 0 else 2 + int(rng.uniform(0, 4))
+            shape = (c, d, hb * f, wb * f)
+            g = rng.uniform(-1, 1, shape) * 10.0 ** rng.uniform(-3, 3, shape)
+            want = g.reshape(c, d, hb, f, wb, f).sum(axis=(3, 5))
+            got = _upsample_adjoint(g, f)
+            if wb > 1:
+                assert got.tobytes() == want.tobytes(), shape
+            else:
+                assert np.max(np.abs(got - want)) <= 4e-16 * f * f * np.max(np.abs(g)), shape
 
 
 class TestTraining:

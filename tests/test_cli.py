@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ctfuse import ctf
+from ctfuse import cli, ctf
 from ctfuse.backbone import BackboneConfig, build, forward_features, save_checkpoint
 from ctfuse.cli import main
 from ctfuse.operators import OperatorKind, forward, load_operator
@@ -133,6 +133,18 @@ class TestDemo:
         assert main(["demo", "--config", str(cfg)]) == 1
         assert "momentum" in capsys.readouterr().err
 
+    def test_non_finite_learning_rate_fails_before_training(self, tmp_path, capsys,
+                                                            monkeypatch):
+        def no_training(*args):
+            raise AssertionError("training started")
+        monkeypatch.setattr(cli, "train", no_training)
+        cfg = tmp_path / "demo.cfg"
+        cfg.write_text("volumes=12\nlearning_rate=nan\n")
+        out = tmp_path / "m.csv"
+        assert main(["demo", "--config", str(cfg), "--out", str(out)]) == 1
+        assert_clean_failure(capsys, "learning_rate must be finite")
+        assert not out.exists()
+
 
 class TestInflateForward:
     def test_operator_round_trip_matches_library(self, tmp_path):
@@ -203,11 +215,11 @@ def assert_clean_failure(capsys, *fragments):
 
 
 class TestBadInputs:
-    def _operator(self, tmp_path):
+    def _operator(self, tmp_path, fusion="tsm"):
         ctf.write_tensor(tmp_path / "w.ctf", np.ones((2, 2, 3, 3)))
         op_dir = tmp_path / "op"
         assert main(["inflate", "--kernel", str(tmp_path / "w.ctf"), "--fusion",
-                     "tsm", "--depth", "3", "--out", str(op_dir)]) == 0
+                     fusion, "--depth", "3", "--out", str(op_dir)]) == 0
         ctf.write_tensor(tmp_path / "vol.ctf", np.ones((2, 3, 4, 4)))
         return op_dir
 
@@ -237,6 +249,28 @@ class TestBadInputs:
         manifest.write_text("".join(ln for ln in lines if not ln.startswith("stages=")))
         assert self._forward("--backbone", ckpt, tmp_path) == 1
         assert_clean_failure(capsys, "backbone.txt", "'stages'")
+
+    @staticmethod
+    def _doctor(manifest, key, value):
+        lines = manifest.read_text().splitlines(keepends=True)
+        assert any(ln.startswith(f"{key}=") for ln in lines)
+        manifest.write_text("".join(f"{key}={value}\n" if ln.startswith(f"{key}=") else ln
+                                    for ln in lines))
+
+    @pytest.mark.parametrize("fusion,key,value", [
+        ("tsm", "c_out", "3"), ("tsm", "c_in", "1"), ("tsm", "k", "5"), ("a3d", "depth", "4")])
+    def test_operator_manifest_contradicts_tensors(self, tmp_path, capsys, fusion, key, value):
+        op_dir = self._operator(tmp_path, fusion)
+        self._doctor(op_dir / "operator.txt", key, value)
+        assert self._forward("--operator", op_dir, tmp_path) == 1
+        assert_clean_failure(capsys, "operator.txt", f"{key}={value}")
+
+    @pytest.mark.parametrize("key,value", [("stages", "5x1"), ("fusion", "p3d")])
+    def test_backbone_manifest_contradicts_layers(self, tmp_path, capsys, key, value):
+        ckpt = self._checkpoint(tmp_path)
+        self._doctor(ckpt / "backbone.txt", key, value)
+        assert self._forward("--backbone", ckpt, tmp_path) == 1
+        assert_clean_failure(capsys, "backbone.txt", f"{key}={value}")
 
     def test_non_finite_a3d_perturb(self, tmp_path, capsys):
         ckpt = self._checkpoint(tmp_path)

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from ctfuse import backbone
 from ctfuse.backbone import BackboneConfig
 from ctfuse.demo import (
+    DEMO_STAGES,
     DemoMetrics,
     SyntheticTaskConfig,
     TaskData,
@@ -127,6 +129,12 @@ class TestTaskGeneration:
         with pytest.raises(ValueError, match="positive"):
             SyntheticTaskConfig(blob_radius=0.0)
 
+    @pytest.mark.parametrize("name", ["blob_radius", "amplitude", "noise_sigma"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_float_rejected(self, name, bad):
+        with pytest.raises(ValueError, match=name):
+            SyntheticTaskConfig(**{name: bad})
+
 
 class TestSliceWiseUnidentifiability:
     def test_single_slice_matcher_is_at_chance(self):
@@ -182,6 +190,11 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="val_fraction"):
             TrainConfig(val_fraction=1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_learning_rate_rejected(self, bad):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=bad)
+
     def test_backbone_must_match_task_dims(self):
         data = generate_task(SyntheticTaskConfig(volumes=8))
         bad = BackboneConfig(depth=7, stages=((4, 1),), height=16, width=16)
@@ -200,6 +213,22 @@ class TestTraining:
         metrics = train(data, TrainConfig(epochs=3, learning_rate=0.0, seed=5))
         assert metrics.train_loss[0] == metrics.train_loss[1] == metrics.train_loss[2]
         assert metrics.val_loss[0] == metrics.val_loss[1] == metrics.val_loss[2]
+
+    def test_one_operator_forward_per_sample_and_layer(self, monkeypatch):
+        """Backward reads each training sample's forward from its tape."""
+        calls = []
+        real = backbone.op_forward
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].kind)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(backbone, "op_forward", counting)
+        data = generate_task(SyntheticTaskConfig(volumes=8, seed=3))
+        for kind in (OperatorKind.A3D, OperatorKind.P3D):
+            calls.clear()
+            train(data, TrainConfig(fusion=kind, epochs=2, seed=3))
+            layers = sum(blocks for _, blocks in DEMO_STAGES)
+            assert calls == [kind] * (layers * 8 * 2)
 
     def test_training_is_deterministic(self):
         data = generate_task(SyntheticTaskConfig(volumes=16, seed=6))

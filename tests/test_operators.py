@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ctfuse import operators as operators_module
 from ctfuse.operators import (
     ALL_KINDS,
     OperatorKind,
@@ -346,6 +347,35 @@ class TestBackward:
         st = make_state(OperatorKind.I3D, rng)
         with pytest.raises(ShapeError):
             backward(st, np.ones((4, 4, 5, 5)), np.ones((5, 4, 5, 4)))
+
+    def test_inner_tensor_from_forward_gives_the_same_bits(self, monkeypatch):
+        """backward given forward's inner tensor equals backward that
+        recomputes it, bit for bit, and runs no tensor forward."""
+        rng = SeededRng(326)
+        x = rng.uniform(-1, 1, (8, 4, 5, 6))
+        g = rng.uniform(-1, 1, (5, 4, 5, 6))
+        states = [generic_state(kind, rng.fork(i)) for i, kind in enumerate(ALL_KINDS)]
+        runs = []
+        for st in states:
+            y, inner = forward(st, x, return_inner=True)
+            assert y.tobytes() == forward(st, x).tobytes()
+            single_stage = st.kind in (OperatorKind.NOFUSION, OperatorKind.I3D, OperatorKind.ACS)
+            assert (inner is None) == single_stage, st.kind
+            runs.append((st, inner, backward(st, x, g)))
+
+        def no_forward(*args):
+            raise AssertionError("backward recomputed a forward")
+        for name in ("conv3d_forward", "axial_shift", "slice_contract_forward"):
+            monkeypatch.setattr(operators_module, name, no_forward)
+        for st, inner, (want_gx, want_grads) in runs:
+            if inner is None:
+                continue
+            gx, grads = backward(st, x, g, inner)
+            assert gx.tobytes() == want_gx.tobytes(), st.kind
+            want = want_grads.weight_arrays()
+            assert list(grads.weight_arrays()) == list(want)
+            for name, arr in grads.weight_arrays().items():
+                assert arr.tobytes() == want[name].tobytes(), (st.kind, name)
 
 
 def _swap_weight(st: OperatorState, name: str, arr: np.ndarray) -> OperatorState:
