@@ -354,22 +354,26 @@ def save_checkpoint(bb: Backbone, dirpath) -> None:
 def load_checkpoint(dirpath) -> Backbone:
     """Read back a directory written by save_checkpoint.
 
-    Every layer's operator must be of the manifest's fusion kind and map
-    the channels its stages imply; a disagreement raises ContainerError
-    naming the manifest and key.
+    Every tensor must have the kind and shape the manifest implies; a
+    disagreement, or a value that makes no valid config, raises
+    ContainerError naming the manifest or the tensor file.
     """
     path = Path(dirpath)
     m = ctf.read_manifest(path / _MANIFEST_NAME)
-    config = BackboneConfig(
-        depth=int(m["depth"]),
-        stages=parse_stages(m["stages"]),
-        fusion=OperatorKind.from_name(m["fusion"]),
-        seed=int(m["seed"]),
-        height=int(m["height"]),
-        width=int(m["width"]),
-        a3d_perturb=float(m["a3d_perturb"]),
-        tsm_div=int(m["tsm_div"]),
-    )
+    fields = {key: m.parse(key, convert) for key, convert in (
+        ("depth", int), ("stages", parse_stages), ("fusion", OperatorKind.from_name), ("seed", int),
+        ("height", int), ("width", int), ("a3d_perturb", float), ("tsm_div", int))}
+    try:
+        config = BackboneConfig(**fields)
+    except ValueError as exc:
+        raise ctf.ContainerError(f"{m.path}: {exc}") from None
+
+    def weight(name, shape):
+        arr = ctf.read_tensor(path / name)
+        if arr.shape != shape:
+            raise ctf.ContainerError(f"{path / name}: shape {arr.shape}, expected {shape}")
+        return arr
+
     fusion_layers = []
     for i, dims in enumerate(layer_dims(config)):
         state = load_operator(path / f"layer{i}")
@@ -380,8 +384,8 @@ def load_checkpoint(dirpath) -> Backbone:
             raise ctf.ContainerError(
                 f"{m.path}: stages={m['stages']} gives layer{i} {dims.c_in} -> {dims.c_out} "
                 f"channels, but it holds {state.c_in} -> {state.c_out}")
-        bias = ctf.read_tensor(path / f"layer{i}_bias.ctf")
-        fusion_layers.append((state, bias))
-    unify = [ctf.read_tensor(path / f"unify{s}.ctf") for s in range(len(config.stages))]
-    collapse = ctf.read_tensor(path / "collapse.ctf")
+        fusion_layers.append((state, weight(f"layer{i}_bias.ctf", (dims.c_out,))))
+    cf = config.feature_channels
+    unify = [weight(f"unify{s}.ctf", (cf, c, 1, 1, 1)) for s, (c, _) in enumerate(config.stages)]
+    collapse = weight("collapse.ctf", (cf, cf, config.depth, 1, 1))
     return Backbone(config, fusion_layers, unify, collapse)

@@ -102,7 +102,7 @@ def _cmd_check(args) -> int:
     return 1 if failed else 0
 
 
-def _read_config_file(path: str) -> dict[str, str]:
+def _read_config_file(path: str) -> ctf.Manifest:
     entries = ctf.read_manifest(Path(path))
     known = set(TASK_FIELDS) | set(TRAIN_FIELDS)
     for key in entries:
@@ -114,9 +114,9 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 def _cmd_demo(args) -> int:
     overrides = _read_config_file(args.config) if args.config else {}
-    task_kw = {name: conv(overrides[name])
+    task_kw = {name: overrides.parse(name, conv)
                for name, conv in TASK_FIELDS.items() if name in overrides}
-    train_kw = {name: conv(overrides[name])
+    train_kw = {name: overrides.parse(name, conv)
                 for name, conv in TRAIN_FIELDS.items() if name in overrides}
     if args.volumes is not None:
         task_kw["volumes"] = args.volumes

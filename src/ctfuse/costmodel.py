@@ -14,7 +14,8 @@ extent and D/H/W the volume dims:
     a3d        + D^2*Ci            + D^2*H*W*Ci
 
 so the overhead ratios are 1, K, 1 + Co/(Ci*K), 1, 1, and
-1 + D^2/(Co*K^2) for parameters / 1 + D/(Co*K^2) for MACs.
+1 + D^2/(Co*K^2) for parameters / 1 + D/(Co*K^2) for MACs; both counts
+are read off the operators' stage table (`operators.stage_shapes`).
 
 The backbone's head (a 1x1x1 unification per stage at the stage's own
 resolution, then the Dx1x1 valid depth collapse) is counted apart, so
@@ -24,10 +25,11 @@ MACs are the primary unit; a FLOP display doubles them (one multiply
 plus one add) and leaves every ratio unchanged.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .operators import OperatorKind, acs_split
+from .operators import OperatorKind, stage_shapes
 
 
 @dataclass(frozen=True)
@@ -50,24 +52,11 @@ class LayerDims:
             raise ValueError(f"kernel extent must be odd, got {self.k}")
 
 
-def _validate(kind: OperatorKind, dims: LayerDims) -> None:
-    if not isinstance(kind, OperatorKind):
-        raise TypeError(f"kind must be an OperatorKind, got {kind!r}")
-    if kind is OperatorKind.ACS:
-        acs_split(dims.c_out)
-
-
 def count_params(kind: OperatorKind, dims: LayerDims) -> int:
     """Trainable scalars of one layer; equals the operator state's size."""
-    _validate(kind, dims)
-    base = dims.c_out * dims.c_in * dims.k * dims.k
-    if kind is OperatorKind.I3D:
-        return base * dims.k
-    if kind is OperatorKind.P3D:
-        return base + dims.c_out * dims.c_out * dims.k
-    if kind is OperatorKind.A3D:
-        return base + dims.d * dims.d * dims.c_in
-    return base
+    return sum(math.prod(shape) for _, shapes in stage_shapes(kind, dims.c_in, dims.c_out,
+                                                              dims.k, dims.d)
+               for shape in shapes.values())
 
 
 def count_macs(kind: OperatorKind, dims: LayerDims) -> int:
@@ -76,16 +65,8 @@ def count_macs(kind: OperatorKind, dims: LayerDims) -> int:
     Padding taps count (the arithmetic is performed on the zeros); pure
     slice shifts and copies count zero.
     """
-    _validate(kind, dims)
-    hw = dims.h * dims.w
-    base = dims.d * hw * dims.c_out * dims.c_in * dims.k * dims.k
-    if kind is OperatorKind.I3D:
-        return base * dims.k
-    if kind is OperatorKind.P3D:
-        return base + dims.d * hw * dims.c_out * dims.c_out * dims.k
-    if kind is OperatorKind.A3D:
-        return base + dims.d * dims.d * hw * dims.c_in
-    return base
+    return sum(stage.macs(shapes, dims.d, dims.h * dims.w)
+               for stage, shapes in stage_shapes(kind, dims.c_in, dims.c_out, dims.k, dims.d))
 
 
 def overhead_params(kind: OperatorKind, dims: LayerDims) -> Fraction:

@@ -92,16 +92,20 @@ class Manifest(dict):
     def __missing__(self, key):
         raise ContainerError(f"{self.path}: missing key {key!r}")
 
+    def parse(self, key, convert=int):
+        """The key's value read by convert (int by default); a value it
+        rejects raises ContainerError naming the file and the key."""
+        text = self[key]
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise ContainerError(f"{self.path}: bad {key}={text!r} ({exc})") from None
+
     def expect(self, key, actual: int) -> None:
         """Raise ContainerError naming the file and key unless the key
         holds the integer `actual`, the value the loaded tensors give."""
-        text = self[key]
-        try:
-            agrees = int(text) == actual
-        except ValueError:
-            agrees = False
-        if not agrees:
-            raise ContainerError(f"{self.path}: {key}={text}, but the tensors give {actual}")
+        if self.parse(key) != actual:
+            raise ContainerError(f"{self.path}: {key}={self[key]}, but the tensors give {actual}")
 
 
 def read_manifest(path) -> Manifest:

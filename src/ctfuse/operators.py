@@ -1,25 +1,27 @@
 """Six slice-context fusion operators behind one interface.
 
 Every operator starts from a 2D kernel (Cout, Cin, K, K) and turns it
-into weights for a 3D layer over (C, D, H, W) volumes:
+into weights for a 3D layer over (C, D, H, W) volumes.  STAGES lists
+each kind's linear stages, from which weight validation, forward,
+backward, the cost counts and the axial radius are derived:
 
-* ``nofusion``  slice-wise 1xKxK convolution; depth untouched.
-* ``i3d``       full KxKxK convolution; each axial tap starts at w2d/K.
-* ``p3d``       1xKxK convolution followed by a Kx1x1 axial convolution
-                whose initial taps are [0, ..., 1, ..., 0] on the channel
-                diagonal, so at init it is an exact identity along depth.
-* ``acs``       output channels partitioned across three orientations,
-                1xKxK, Kx1xK and KxKx1, each filled with the 2D plane.
-* ``tsm``       a fraction of input channels shifted one slice up, an
-                equal fraction down, then a 1xKxK convolution.
-* ``a3d``       per-input-channel dense DxD slice mixing (initialized at
-                the identity plus a small uniform perturbation), then a
-                1xKxK convolution.
+* ``nofusion``  conv 1xKxK; depth untouched.
+* ``i3d``       conv KxKxK; each axial tap starts at w2d/K.
+* ``p3d``       conv 1xKxK, then conv Kx1x1 (``aux``) starting at taps
+                [0, ..., 1, ..., 0] on the channel diagonal, an exact
+                identity along depth at init.
+* ``acs``       concat of convs 1xKxK / Kx1xK / KxKx1, the output channels
+                split across the three views, each filled with the plane.
+* ``tsm``       shift a fraction of input channels one slice up, an equal
+                fraction down, then conv 1xKxK.
+* ``a3d``       mix: per-input-channel dense DxD slice mixing (identity
+                plus a small uniform perturbation at init), then conv 1xKxK.
 
-All six share the forward/backward/parameter-count interface and can be
-serialized to a directory (key=value manifest plus CTF1 weight files).
+All six can be serialized to a directory (key=value manifest plus CTF1
+weight files).
 """
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -78,6 +80,138 @@ def acs_split(c_out: int) -> tuple[int, int, int]:
     return a, c, s
 
 
+class Stage:
+    """One linear stage.  name: the weight or OperatorState field holding
+    its parameters; shapes: its weights' shapes for c input channels
+    (splits: acs view channels, acs_split(c_out) when None); macs: its
+    forward multiply-accumulates; reach(k): slices one output slice reads
+    each way, None for all; forward(state, x) applies it; backward returns
+    the input gradient and puts the weight gradients in grads by name."""
+
+    maps_channels = False
+
+    def shapes(self, c, c_out, k, depth, splits=None):
+        return {}
+
+    def macs(self, shapes, depth, hw):
+        return depth * hw * sum(map(math.prod, shapes.values()))
+
+
+@dataclass(frozen=True)
+class Conv(Stage):
+    """Same-padded convolution to Cout channels by kernel `name` ("main": kernels[0], else
+    the state field of that name), of extent spec in K ("1kk" is 1xKxK)."""
+
+    name: str
+    spec: str
+    maps_channels = True
+
+    def shapes(self, c, c_out, k, depth, splits=None):
+        return {self.name: (c_out, c) + tuple(k if ch == "k" else 1 for ch in self.spec)}
+
+    def reach(self, k):
+        return k // 2 if self.spec[0] == "k" else 0
+
+    def _kernel(self, state):
+        return state.kernels[0] if self.name == "main" else getattr(state, self.name)
+
+    def forward(self, state, x):
+        return conv3d_forward(x, self._kernel(state))
+
+    def backward(self, state, x, g, grads):
+        grad_x, grads[self.name] = conv3d_backward(x, self._kernel(state), g)
+        return grad_x
+
+
+@dataclass(frozen=True)
+class Concat(Stage):
+    """The views' convolutions (the state's kernels) stacked along the channels."""
+
+    views: tuple[Conv, ...]
+    name = "acs_splits"
+    maps_channels = True
+
+    def shapes(self, c, c_out, k, depth, splits=None):
+        splits = acs_split(c_out) if splits is None else splits
+        return dict(item for view, n in zip(self.views, splits, strict=True)
+                    for item in view.shapes(c, n, k, depth).items())
+
+    def reach(self, k):
+        return max(view.reach(k) for view in self.views)
+
+    def forward(self, state, x):
+        return np.concatenate([conv3d_forward(x, kern) for kern in state.kernels], axis=0)
+
+    def backward(self, state, x, g, grads):
+        grad_x = np.zeros_like(x)
+        pieces = np.split(g, np.cumsum([kern.shape[0] for kern in state.kernels])[:-1])
+        for view, kern, piece in zip(self.views, state.kernels, pieces):
+            gx, grads[view.name] = conv3d_backward(x, kern, piece)
+            grad_x += gx
+        return grad_x
+
+
+class Shift(Stage):
+    """Zero-filled one-slice shift of shift_splits channels up, then down."""
+
+    name = "shift_splits"
+
+    def reach(self, k):
+        return 1
+
+    def forward(self, state, x):
+        return axial_shift(x, state.shift_splits)
+
+    def backward(self, state, x, g, grads):
+        return axial_shift_adjoint(g, state.shift_splits)
+
+
+class Mix(Stage):
+    """Per-channel dense slice mixing by the (D, D, C) stack ``mix``."""
+
+    name = "mix"
+
+    def shapes(self, c, c_out, k, depth, splits=None):
+        return {"mix": (depth, depth, c)}
+
+    def macs(self, shapes, depth, hw):
+        return hw * sum(map(math.prod, shapes.values()))
+
+    def reach(self, k):
+        return None
+
+    def forward(self, state, x):
+        return slice_contract_forward(x, state.mix)
+
+    def backward(self, state, x, g, grads):
+        grad_x, grads[self.name] = slice_contract_backward(x, state.mix, g)
+        return grad_x
+
+
+# forward and backward make exactly the tensor calls of a kind's stages,
+# in order, so the table keeps every output and gradient bit for bit.
+STAGES = {
+    OperatorKind.NOFUSION: (Conv("main", "1kk"),),
+    OperatorKind.I3D: (Conv("main", "kkk"),),
+    OperatorKind.P3D: (Conv("main", "1kk"), Conv("aux", "k11")),
+    OperatorKind.ACS: (Concat((Conv("axial", "1kk"), Conv("coronal", "k1k"),
+                               Conv("sagittal", "kk1"))),),
+    OperatorKind.TSM: (Shift(), Conv("main", "1kk")),
+    OperatorKind.A3D: (Mix(), Conv("main", "1kk")),
+}
+
+
+def stage_shapes(kind: OperatorKind, c_in: int, c_out: int, k: int, depth, splits=None):
+    """(stage, {weight name: shape}) for each of the kind's stages, in order."""
+    if not isinstance(kind, OperatorKind):
+        raise TypeError(f"kind must be an OperatorKind, got {kind!r}")
+    c, out = c_in, []
+    for stage in STAGES[kind]:
+        out.append((stage, stage.shapes(c, c_out, k, depth, splits)))
+        c = c_out if stage.maps_channels else c
+    return out
+
+
 @dataclass(frozen=True)
 class OperatorState:
     """Weights of one fusion operator.
@@ -87,8 +221,9 @@ class OperatorState:
     p3d's (Cout, Cout, K, 1, 1) axial kernel, mix is a3d's (D, D, Cin)
     slice-mixing stack, shift_splits is tsm's (up, down) channel split,
     acs_splits the per-view channel counts.  depth_hint records the depth
-    the state was built for; only a3d enforces it.  Treat instances as
-    immutable: training code builds updated copies via `with_weights`.
+    the state was built for; only a3d enforces it.  Every shape must be
+    the one stage_shapes gives the kind.  Treat instances as immutable:
+    training code builds updated copies via `with_weights`.
     """
 
     kind: OperatorKind
@@ -103,81 +238,37 @@ class OperatorState:
     def __post_init__(self):
         if not isinstance(self.kind, OperatorKind):
             raise TypeError(f"kind must be an OperatorKind, got {self.kind!r}")
+        name = self.kind.value
         kernels = tuple(np.ascontiguousarray(k, dtype=np.float64) for k in self.kernels)
         object.__setattr__(self, "kernels", kernels)
-        for k in kernels:
-            if k.ndim != 5:
-                raise ShapeError(f"kernel must be rank 5, got shape {k.shape}")
-        n_expected = 3 if self.kind is OperatorKind.ACS else 1
-        if len(kernels) != n_expected:
-            raise ShapeError(f"{self.kind.value} takes {n_expected} kernel(s), got {len(kernels)}")
+        if not kernels or any(k.ndim != 5 for k in kernels):
+            raise ShapeError(f"kernels must be rank 5, got shapes {[k.shape for k in kernels]}")
+        needed = {stage.name for stage in STAGES[self.kind]}
+        for field in ("shift_splits", "acs_splits"):
+            if (getattr(self, field) is None) == (field in needed):
+                raise ShapeError(f"{name} {'requires' if field in needed else 'takes no'} {field}")
+        for field in ("aux", "mix"):
+            if (value := getattr(self, field)) is not None:
+                object.__setattr__(self, field, np.ascontiguousarray(value, dtype=np.float64))
+        depth = self.mix.shape[0] if self.mix is not None and self.mix.ndim else self.depth_hint
+        want = dict(item for _, shapes in stage_shapes(self.kind, self.c_in, self.c_out, self.k,
+                                                       depth, self.acs_splits)
+                    for item in shapes.items())
+        have = {n: arr.shape for n, arr in self.weight_arrays().items()}
+        if (have != want or len(kernels) != sum(n in _KERNEL_NAMES for n in want)
+                or any(0 in shape for shape in have.values())):
+            raise ShapeError(f"{name} weights must be {want}, got {have} ({len(kernels)} kernels)")
 
-        if self.kind is OperatorKind.ACS:
-            if self.acs_splits is None:
-                raise ShapeError("acs state requires acs_splits")
-            a, c, s = self.acs_splits
-            ka, kc, ks = kernels
-            k = ka.shape[3]
-            if (a, c, s) != (ka.shape[0], kc.shape[0], ks.shape[0]):
-                raise ShapeError(f"acs_splits {self.acs_splits} do not match kernel "
-                                 f"channel counts {(ka.shape[0], kc.shape[0], ks.shape[0])}")
-            if min(a, c, s) < 1:
-                raise ShapeError(f"every view needs at least one channel, got {self.acs_splits}")
-            if not (ka.shape[1] == kc.shape[1] == ks.shape[1]):
-                raise ShapeError("acs view kernels disagree on input channels")
-            if ka.shape[2:] != (1, k, k) or kc.shape[2:] != (k, 1, k) or ks.shape[2:] != (k, k, 1):
-                raise ShapeError(
-                    f"acs view kernels must be (1,K,K)/(K,1,K)/(K,K,1), got "
-                    f"{ka.shape[2:]}, {kc.shape[2:]}, {ks.shape[2:]}")
-        else:
-            main = kernels[0]
-            co, ci, kd, kh, kw = main.shape
-            if kh != kw:
-                raise ShapeError(f"in-plane kernel extents must match, got {main.shape}")
-            want_kd = kh if self.kind is OperatorKind.I3D else 1
-            if kd != want_kd:
-                raise ShapeError(f"{self.kind.value} main kernel depth extent must be "
-                                 f"{want_kd}, got {kd}")
-
-        if self.kind is OperatorKind.P3D:
-            if self.aux is None:
-                raise ShapeError("p3d state requires an aux axial kernel")
-            aux = np.ascontiguousarray(self.aux, dtype=np.float64)
-            object.__setattr__(self, "aux", aux)
-            co = kernels[0].shape[0]
-            k = kernels[0].shape[3]
-            if aux.shape != (co, co, k, 1, 1):
-                raise ShapeError(f"aux kernel must be {(co, co, k, 1, 1)}, got {aux.shape}")
-        elif self.aux is not None:
-            raise ShapeError(f"{self.kind.value} takes no aux kernel")
-
-        if self.kind is OperatorKind.A3D:
-            if self.mix is None:
-                raise ShapeError("a3d state requires a slice-mixing stack")
-            mix = np.ascontiguousarray(self.mix, dtype=np.float64)
-            object.__setattr__(self, "mix", mix)
-            ci = kernels[0].shape[1]
-            if mix.ndim != 3 or mix.shape[0] != mix.shape[1] or mix.shape[2] != ci:
-                raise ShapeError(f"mix must be (D, D, {ci}), got {mix.shape}")
-            if self.depth_hint is not None and self.depth_hint != mix.shape[0]:
-                raise ShapeError(f"depth_hint {self.depth_hint} contradicts mix depth {mix.shape[0]}")
-            object.__setattr__(self, "depth_hint", mix.shape[0])
-        elif self.mix is not None:
-            raise ShapeError(f"{self.kind.value} takes no slice-mixing stack")
-
-        if self.kind is OperatorKind.TSM:
-            if self.shift_splits is None:
-                raise ShapeError("tsm state requires shift_splits")
-            up, down = int(self.shift_splits[0]), int(self.shift_splits[1])
+        if self.mix is not None:
+            if self.depth_hint is not None and self.depth_hint != depth:
+                raise ShapeError(f"depth_hint {self.depth_hint} contradicts mix depth {depth}")
+            object.__setattr__(self, "depth_hint", depth)
+        if self.shift_splits is not None:
+            up, down = (int(s) for s in self.shift_splits)
             object.__setattr__(self, "shift_splits", (up, down))
-            if up < 0 or down < 0 or up + down > kernels[0].shape[1]:
+            if up < 0 or down < 0 or up + down > self.c_in:
                 raise ShapeError(f"shift_splits {self.shift_splits} invalid for "
-                                 f"{kernels[0].shape[1]} input channels")
-        elif self.shift_splits is not None:
-            raise ShapeError(f"{self.kind.value} takes no shift_splits")
-
-        if self.kind is not OperatorKind.ACS and self.acs_splits is not None:
-            raise ShapeError(f"{self.kind.value} takes no acs_splits")
+                                 f"{self.c_in} input channels")
 
     @property
     def c_out(self) -> int:
@@ -194,6 +285,10 @@ class OperatorState:
     def weight_arrays(self) -> dict[str, np.ndarray]:
         """Name -> array for every trainable tensor, in a fixed order."""
         return _named_weights(self.kernels, self.aux, self.mix)
+
+    def with_named(self, named: dict[str, np.ndarray]) -> "OperatorState":
+        """Copy of this state with the weights named in `named` swapped out."""
+        return self.with_weights(*_split_named(named))
 
     def with_weights(self, kernels=None, aux=None, mix=None) -> "OperatorState":
         """Copy of this state with some weight arrays swapped out."""
@@ -217,11 +312,20 @@ class OperatorGrads:
         return _named_weights(self.kernels, self.aux, self.mix)
 
 
+_KERNEL_NAMES = ("main", "axial", "coronal", "sagittal")
+
+
 def _named_weights(kernels, aux, mix) -> dict[str, np.ndarray]:
-    names = ("axial", "coronal", "sagittal") if len(kernels) == 3 else ("main",)
+    names = _KERNEL_NAMES[1:] if len(kernels) == 3 else _KERNEL_NAMES[:1]
     out = dict(zip(names, kernels))
     out.update((name, arr) for name, arr in (("aux", aux), ("mix", mix)) if arr is not None)
     return out
+
+
+def _split_named(named) -> tuple:
+    """(kernels or None, aux, mix) of a weight-name dict: _named_weights inverted."""
+    kernels = tuple(named[n] for n in _KERNEL_NAMES if n in named)
+    return kernels or None, named.get("aux"), named.get("mix")
 
 
 def _as_kernel2d(w2d) -> np.ndarray:
@@ -267,78 +371,44 @@ def inflate(kind: OperatorKind, w2d, depth: int, rng: SeededRng | None = None, *
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     co, ci, k, _ = w2d.shape
-    seed = rng.seed if rng is not None else None
-
-    if kind is OperatorKind.NOFUSION:
-        return OperatorState(kind, (w2d[:, :, None, :, :].copy(),),
-                             depth_hint=depth, seed=seed)
-    if kind is OperatorKind.I3D:
-        main = np.repeat((w2d / k)[:, :, None, :, :], k, axis=2)
-        return OperatorState(kind, (np.ascontiguousarray(main),),
-                             depth_hint=depth, seed=seed)
-    if kind is OperatorKind.P3D:
-        return OperatorState(kind, (w2d[:, :, None, :, :].copy(),),
-                             aux=p3d_aux_init(co, k), depth_hint=depth, seed=seed)
-    if kind is OperatorKind.ACS:
-        splits = acs_split(co)
-        return OperatorState(kind, _acs_kernels_from_planes(w2d, splits),
-                             acs_splits=splits, depth_hint=depth, seed=seed)
-    if kind is OperatorKind.TSM:
+    needed = {stage.name for stage in STAGES[kind]}
+    fields = {}
+    if "acs_splits" in needed:
+        fields["acs_splits"] = acs_split(co)
+        fields["kernels"] = _acs_kernels_from_planes(w2d, fields["acs_splits"])
+    elif kind is OperatorKind.I3D:
+        fields["kernels"] = (np.repeat((w2d / k)[:, :, None], k, axis=2),)
+    else:
+        fields["kernels"] = (w2d[:, :, None].copy(),)
+    if "aux" in needed:
+        fields["aux"] = p3d_aux_init(co, k)
+    if "shift_splits" in needed:
         if tsm_div < 1:
             raise ValueError(f"tsm_div must be >= 1, got {tsm_div}")
-        frac = ci // tsm_div
-        return OperatorState(kind, (w2d[:, :, None, :, :].copy(),),
-                             shift_splits=(frac, frac), depth_hint=depth, seed=seed)
-    if kind is OperatorKind.A3D:
-        mix = identity_mix(depth, ci)
+        fields["shift_splits"] = (ci // tsm_div, ci // tsm_div)
+    if "mix" in needed:
+        if perturb_scale != 0.0 and rng is None:
+            raise ValueError("a3d with a nonzero perturbation needs an rng")
+        fields["mix"] = identity = identity_mix(depth, ci)
         if perturb_scale != 0.0:
-            if rng is None:
-                raise ValueError("a3d with a nonzero perturbation needs an rng")
-            mix = mix + rng.uniform(-perturb_scale, perturb_scale, (depth, depth, ci))
-        return OperatorState(kind, (w2d[:, :, None, :, :].copy(),),
-                             mix=mix, depth_hint=depth, seed=seed)
-    raise ValueError(f"unhandled kind {kind!r}")
-
-
-def _check_input(state: OperatorState, x: np.ndarray) -> None:
-    if x.shape[0] != state.c_in:
-        raise ShapeError(f"input has {x.shape[0]} channels, operator expects {state.c_in}")
-    if state.kind is OperatorKind.A3D and x.shape[1] != state.mix.shape[0]:
-        raise ShapeError(f"a3d state mixes {state.mix.shape[0]} slices, input has {x.shape[1]}")
-
-
-def _first_stage(state: OperatorState, x: np.ndarray) -> np.ndarray | None:
-    """The tensor between a two-stage operator's stages: p3d's in-plane
-    conv output (mid), tsm's shifted input, a3d's slice-mixed input.
-    Single-stage kinds have none."""
-    kind = state.kind
-    if kind is OperatorKind.P3D:
-        return conv3d_forward(x, state.kernels[0])
-    if kind is OperatorKind.TSM:
-        return axial_shift(x, state.shift_splits)
-    if kind is OperatorKind.A3D:
-        return slice_contract_forward(x, state.mix)
-    return None
+            fields["mix"] = identity + rng.uniform(-perturb_scale, perturb_scale, identity.shape)
+    return OperatorState(kind, depth_hint=depth, seed=rng.seed if rng is not None else None,
+                         **fields)
 
 
 def forward(state: OperatorState, x, return_inner: bool = False):
-    """Apply the operator to a (Cin, D, H, W) volume, yielding (Cout, D, H, W).
+    """Apply the operator to a (Cin, D, H, W) volume, yielding (Cout, D, H, W);
+    the tensor kernels reject an input of the wrong shape (ShapeError).
 
     With return_inner, return (output, inner) instead, where inner is the
-    tensor between the operator's two stages (p3d's mid, tsm's shifted
+    output of a two-stage kind's first stage (p3d's mid, tsm's shifted
     input, a3d's mixed input; None for the single-stage kinds).  backward
     takes it in place of recomputing it.
     """
     x = as_volume(x)
-    _check_input(state, x)
-    kind = state.kind
-    inner = _first_stage(state, x)
-    if kind is OperatorKind.P3D:
-        out = conv3d_forward(inner, state.aux)
-    elif kind is OperatorKind.ACS:
-        out = np.concatenate([conv3d_forward(x, k) for k in state.kernels], axis=0)
-    else:
-        out = conv3d_forward(x if inner is None else inner, state.kernels[0])
+    *first, last = STAGES[state.kind]
+    inner = first[0].forward(state, x) if first else None
+    out = last.forward(state, x if inner is None else inner)
     return (out, inner) if return_inner else out
 
 
@@ -350,60 +420,29 @@ def backward(state: OperatorState, x, grad_out, inner=None) -> tuple[np.ndarray,
     """
     x = as_volume(x)
     grad_out = as_volume(grad_out, "grad_out")
-    _check_input(state, x)
-    d, h, w = x.shape[1:]
-    if grad_out.shape != (state.c_out, d, h, w):
-        raise ShapeError(f"grad_out shape {grad_out.shape} does not match "
-                         f"output shape {(state.c_out, d, h, w)}")
-    if inner is None:
-        inner = _first_stage(state, x)
-    kind = state.kind
-    if kind in (OperatorKind.NOFUSION, OperatorKind.I3D):
-        grad_x, grad_k = conv3d_backward(x, state.kernels[0], grad_out)
-        return grad_x, OperatorGrads((grad_k,))
-    if kind is OperatorKind.P3D:
-        grad_mid, grad_aux = conv3d_backward(inner, state.aux, grad_out)
-        grad_x, grad_main = conv3d_backward(x, state.kernels[0], grad_mid)
-        return grad_x, OperatorGrads((grad_main,), aux=grad_aux)
-    if kind is OperatorKind.ACS:
-        a, c, _ = state.acs_splits
-        pieces = (grad_out[:a], grad_out[a:a + c], grad_out[a + c:])
-        grad_x = np.zeros_like(x)
-        grad_ks = []
-        for kern, piece in zip(state.kernels, pieces):
-            gx, gk = conv3d_backward(x, kern, np.ascontiguousarray(piece))
-            grad_x += gx
-            grad_ks.append(gk)
-        return grad_x, OperatorGrads(tuple(grad_ks))
-    if kind is OperatorKind.TSM:
-        grad_shifted, grad_k = conv3d_backward(inner, state.kernels[0], grad_out)
-        return axial_shift_adjoint(grad_shifted, state.shift_splits), OperatorGrads((grad_k,))
-    if kind is OperatorKind.A3D:
-        grad_mixed, grad_k = conv3d_backward(inner, state.kernels[0], grad_out)
-        grad_x, grad_mix = slice_contract_backward(x, state.mix, grad_mixed)
-        return grad_x, OperatorGrads((grad_k,), mix=grad_mix)
-    raise ValueError(f"unhandled kind {kind!r}")
+    *first, last = STAGES[state.kind]
+    if first and inner is None:
+        inner = first[0].forward(state, x)
+    grads = {}
+    grad_x = last.backward(state, x if inner is None else inner, grad_out, grads)
+    if first:
+        grad_x = first[0].backward(state, x, grad_x, grads)
+    return grad_x, OperatorGrads(*_split_named(grads))
 
 
 def parameter_count(state: OperatorState) -> int:
     """Number of trainable scalars in the state."""
-    total = sum(k.size for k in state.kernels)
-    if state.aux is not None:
-        total += state.aux.size
-    if state.mix is not None:
-        total += state.mix.size
-    return int(total)
+    return int(sum(arr.size for arr in state.weight_arrays().values()))
 
 
 def sgd_step(state: OperatorState, grads: OperatorGrads, lr: float) -> OperatorState:
     """New state with every weight moved one plain gradient step."""
-    kernels = tuple(k - lr * g for k, g in zip(state.kernels, grads.kernels))
-    aux = state.aux - lr * grads.aux if state.aux is not None else None
-    mix = state.mix - lr * grads.mix if state.mix is not None else None
-    return state.with_weights(kernels=kernels, aux=aux, mix=mix)
+    g = grads.weight_arrays()
+    return state.with_named({n: w - lr * g[n] for n, w in state.weight_arrays().items()})
 
 
 _MANIFEST_NAME = "operator.txt"
+_ACS_KEYS = ("acs_axial", "acs_coronal", "acs_sagittal")
 
 
 def save_operator(state: OperatorState, dirpath) -> None:
@@ -426,16 +465,14 @@ def save_operator(state: OperatorState, dirpath) -> None:
         entries["depth"] = state.depth_hint
     if state.seed is not None:
         entries["seed"] = state.seed
-    if state.kind is OperatorKind.ACS:
-        a, c, s = state.acs_splits
-        entries["acs_axial"], entries["acs_coronal"], entries["acs_sagittal"] = a, c, s
-        ka, kc, ks = state.kernels
-        planes = np.concatenate(
-            [ka[:, :, 0, :, :], kc[:, :, :, 0, :], ks[:, :, :, :, 0]], axis=0)
-        ctf.write_tensor(path / "main.ctf", planes)
+    if state.acs_splits is not None:
+        entries.update(zip(_ACS_KEYS, state.acs_splits))
+        # Dropping a view kernel's unit axis leaves its KxK plane.
+        planes = [kern.reshape(kern.shape[:2] + (state.k, state.k)) for kern in state.kernels]
+        ctf.write_tensor(path / "main.ctf", np.concatenate(planes, axis=0))
     else:
         ctf.write_tensor(path / "main.ctf", state.kernels[0])
-    if state.kind is OperatorKind.TSM:
+    if state.shift_splits is not None:
         entries["shift_up"], entries["shift_down"] = state.shift_splits
     if state.aux is not None:
         ctf.write_tensor(path / "aux.ctf", state.aux)
@@ -453,28 +490,27 @@ def load_operator(dirpath) -> OperatorState:
     """
     path = Path(dirpath)
     entries = ctf.read_manifest(path / _MANIFEST_NAME)
-    kind = OperatorKind.from_name(entries["kind"])
-    depth = int(entries["depth"]) if "depth" in entries else None
-    seed = int(entries["seed"]) if "seed" in entries else None
+    kind = entries.parse("kind", OperatorKind.from_name)
+    needed = {stage.name for stage in STAGES[kind]}
     main = ctf.read_tensor(path / "main.ctf")
-    if kind is OperatorKind.ACS:
-        splits = (int(entries["acs_axial"]), int(entries["acs_coronal"]),
-                  int(entries["acs_sagittal"]))
-        state = OperatorState(kind, _acs_kernels_from_planes(main, splits),
-                              acs_splits=splits, depth_hint=depth, seed=seed)
-    elif kind is OperatorKind.P3D:
-        aux = ctf.read_tensor(path / "aux.ctf")
-        state = OperatorState(kind, (main,), aux=aux, depth_hint=depth, seed=seed)
-    elif kind is OperatorKind.TSM:
-        splits = (int(entries["shift_up"]), int(entries["shift_down"]))
-        state = OperatorState(kind, (main,), shift_splits=splits, depth_hint=depth, seed=seed)
-    elif kind is OperatorKind.A3D:
-        mix = ctf.read_tensor(path / "p.ctf")
-        state = OperatorState(kind, (main,), mix=mix, seed=seed)
-    else:
-        state = OperatorState(kind, (main,), depth_hint=depth, seed=seed)
+    fields = {"kernels": (main,), "seed": entries.parse("seed") if "seed" in entries else None,
+              "depth_hint": entries.parse("depth") if "depth" in entries else None}
+    if "acs_splits" in needed:
+        if main.ndim != 4:
+            raise ctf.ContainerError(f"{path / 'main.ctf'}: acs planes must be rank 4 "
+                                     f"(Cout, Cin, K, K), got shape {main.shape}")
+        fields["acs_splits"] = tuple(entries.parse(key) for key in _ACS_KEYS)
+        fields["kernels"] = _acs_kernels_from_planes(main, fields["acs_splits"])
+    if "shift_splits" in needed:
+        fields["shift_splits"] = (entries.parse("shift_up"), entries.parse("shift_down"))
+    if "aux" in needed:
+        fields["aux"] = ctf.read_tensor(path / "aux.ctf")
+    if "mix" in needed:
+        # The mixing stack fixes the depth; the manifest's is checked below.
+        fields["mix"], fields["depth_hint"] = ctf.read_tensor(path / "p.ctf"), None
+    state = OperatorState(kind, **fields)
     for key in ("c_out", "c_in", "k"):
         entries.expect(key, getattr(state, key))
-    if depth is not None:
+    if "depth" in entries:
         entries.expect("depth", state.depth_hint)
     return state

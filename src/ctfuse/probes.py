@@ -16,6 +16,7 @@ import numpy as np
 from .backbone import Backbone, BackboneConfig, backward_features, build, forward_features
 from .operators import (
     ALL_KINDS,
+    STAGES,
     OperatorKind,
     OperatorState,
     backward as op_backward,
@@ -32,15 +33,9 @@ FD_STEP = 1e-5
 
 
 def axial_radius(state: OperatorState) -> int | None:
-    """How far along depth one output slice reaches, or None for all of it."""
-    kind = state.kind
-    if kind is OperatorKind.NOFUSION:
-        return 0
-    if kind in (OperatorKind.I3D, OperatorKind.P3D, OperatorKind.ACS):
-        return state.k // 2
-    if kind is OperatorKind.TSM:
-        return 1
-    return None
+    """How far along depth one output slice reaches: its stages' sum, None for all."""
+    reaches = [stage.reach(state.k) for stage in STAGES[state.kind]]
+    return None if None in reaches else sum(reaches)
 
 
 def shift_volume(x: np.ndarray, s: int) -> np.ndarray:
@@ -180,10 +175,7 @@ def generic_state(kind: OperatorKind, rng: SeededRng, *, c_out=5, c_in=8, k=3,
         sign = np.where(rng.uniform(0, 1, shape) < 0.5, -1.0, 1.0)
         return sign * rng.uniform(0.1, 1.0, shape)
 
-    kernels = tuple(draw(a.shape) for a in st.kernels)
-    aux = draw(st.aux.shape) if st.aux is not None else None
-    mix = draw(st.mix.shape) if st.mix is not None else None
-    return st.with_weights(kernels=kernels, aux=aux, mix=mix)
+    return st.with_named({name: draw(a.shape) for name, a in st.weight_arrays().items()})
 
 
 def _operator_fd(kind: OperatorKind, rng: SeededRng, samples: int) -> tuple[float, int]:
@@ -191,15 +183,9 @@ def _operator_fd(kind: OperatorKind, rng: SeededRng, samples: int) -> tuple[floa
     st = generic_state(kind, r, c_out=5, c_in=4, k=3, depth=3, tsm_div=2)
     x = r.uniform(-1, 1, (4, 3, 6, 6))
     g = r.uniform(-1, 1, (5, 3, 6, 6))
-    names = list(st.weight_arrays())
-
-    def rebuild(tensors):
-        kernels = [tensors[n] for n in names if n not in ("aux", "mix")]
-        return st.with_weights(kernels=tuple(kernels),
-                               aux=tensors.get("aux"), mix=tensors.get("mix"))
 
     def loss(tensors):
-        return float(np.sum(g * op_forward(rebuild(tensors), tensors["x"])))
+        return float(np.sum(g * op_forward(st.with_named(tensors), tensors["x"])))
 
     gx, grads = op_backward(st, x, g)
     tensors = {"x": x, **st.weight_arrays()}
@@ -228,30 +214,19 @@ def _backbone_fd(rng: SeededRng, samples: int) -> tuple[float, int]:
     x = r.uniform(-1, 1, (1, 3, 8, 8))
     g = r.uniform(-1, 1, (4, 8, 8))
     state, bias = bb.fusion_layers[0]
-    tensors = {
-        "main": state.kernels[0],
-        "mix": state.mix,
-        "bias": bias,
-        "unify": bb.unify_kernels[0],
-        "collapse": bb.collapse,
-    }
+    tensors = {**state.weight_arrays(), "bias": bias, "unify": bb.unify_kernels[0],
+               "collapse": bb.collapse}
 
     def rebuild(t):
-        st = state.with_weights(kernels=(t["main"],), mix=t["mix"])
-        return Backbone(config, [(st, t["bias"])], [t["unify"]], t["collapse"])
+        return Backbone(config, [(state.with_named(t), t["bias"])], [t["unify"]], t["collapse"])
 
     def loss(t):
         return float(np.sum(g * forward_features(rebuild(t), x)))
 
     grads = backward_features(bb, x, g)
     opg, biasg = grads.fusion_layers[0]
-    analytic = {
-        "main": opg.kernels[0],
-        "mix": opg.mix,
-        "bias": biasg,
-        "unify": grads.unify_kernels[0],
-        "collapse": grads.collapse,
-    }
+    analytic = {**opg.weight_arrays(), "bias": biasg, "unify": grads.unify_kernels[0],
+                "collapse": grads.collapse}
     return finite_diff_check(loss, tensors, analytic, r.fork(5), samples=samples)
 
 
@@ -326,8 +301,7 @@ def run_check_suite(seed: int = 0, oracle_trials: int = 20) -> list[CheckResult]
 
     eq_rng = root.fork(3)
     x = eq_rng.uniform(-1, 1, (8, 7, 6, 6))
-    symmetric = (OperatorKind.NOFUSION, OperatorKind.I3D, OperatorKind.P3D,
-                 OperatorKind.ACS, OperatorKind.TSM)
+    symmetric = [kind for kind in ALL_KINDS if None not in (s.reach(3) for s in STAGES[kind])]
     worst_interior = 0.0
     worst_boundary_floor = np.inf
     for i, kind in enumerate(symmetric):

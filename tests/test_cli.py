@@ -133,6 +133,12 @@ class TestDemo:
         assert main(["demo", "--config", str(cfg)]) == 1
         assert "momentum" in capsys.readouterr().err
 
+    def test_non_integer_config_value_names_file_and_key(self, tmp_path, capsys):
+        cfg = tmp_path / "demo.cfg"
+        cfg.write_text("volumes=nan\n")
+        assert main(["demo", "--config", str(cfg), "--out", str(tmp_path / "m.csv")]) == 1
+        assert_clean_failure(capsys, "demo.cfg", "volumes='nan'")
+
     def test_non_finite_learning_rate_fails_before_training(self, tmp_path, capsys,
                                                             monkeypatch):
         def no_training(*args):
@@ -215,8 +221,8 @@ def assert_clean_failure(capsys, *fragments):
 
 
 class TestBadInputs:
-    def _operator(self, tmp_path, fusion="tsm"):
-        ctf.write_tensor(tmp_path / "w.ctf", np.ones((2, 2, 3, 3)))
+    def _operator(self, tmp_path, fusion="tsm", c_out=2):
+        ctf.write_tensor(tmp_path / "w.ctf", np.ones((c_out, 2, 3, 3)))
         op_dir = tmp_path / "op"
         assert main(["inflate", "--kernel", str(tmp_path / "w.ctf"), "--fusion",
                      fusion, "--depth", "3", "--out", str(op_dir)]) == 0
@@ -271,6 +277,24 @@ class TestBadInputs:
         self._doctor(ckpt / "backbone.txt", key, value)
         assert self._forward("--backbone", ckpt, tmp_path) == 1
         assert_clean_failure(capsys, "backbone.txt", f"{key}={value}")
+
+    def test_operator_manifest_non_integer(self, tmp_path, capsys):
+        op_dir = self._operator(tmp_path)
+        self._doctor(op_dir / "operator.txt", "depth", "four")
+        assert self._forward("--operator", op_dir, tmp_path) == 1
+        assert_clean_failure(capsys, "operator.txt", "depth='four'")
+
+    def test_backbone_manifest_non_integer(self, tmp_path, capsys):
+        ckpt = self._checkpoint(tmp_path)
+        self._doctor(ckpt / "backbone.txt", "height", "nan")
+        assert self._forward("--backbone", ckpt, tmp_path) == 1
+        assert_clean_failure(capsys, "backbone.txt", "height='nan'")
+
+    def test_acs_planes_of_the_wrong_rank(self, tmp_path, capsys):
+        op_dir = self._operator(tmp_path, "acs", c_out=3)
+        ctf.write_tensor(op_dir / "main.ctf", np.ones(6))
+        assert self._forward("--operator", op_dir, tmp_path) == 1
+        assert_clean_failure(capsys, "main.ctf", "rank 4")
 
     def test_non_finite_a3d_perturb(self, tmp_path, capsys):
         ckpt = self._checkpoint(tmp_path)

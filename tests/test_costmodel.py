@@ -18,6 +18,7 @@ from ctfuse.costmodel import (
     overhead_macs,
     overhead_params,
 )
+from ctfuse.demo import DEMO_STAGES
 from ctfuse.operators import ALL_KINDS, OperatorKind, inflate, parameter_count
 from ctfuse.reference import naive_operator_forward
 from ctfuse.rng import SeededRng
@@ -92,6 +93,23 @@ class TestCounts:
                 want_p, want_m = closed_form_overheads(kind, dims)
                 assert overhead_params(kind, dims) == want_p, (kind, dims)
                 assert overhead_macs(kind, dims) == want_m, (kind, dims)
+
+    def test_default_and_demo_backbone_macs_match_the_benchmark_table(self):
+        """Per-layer MACs of the default backbone and the demo backbone's
+        fusion total, as bench/README.md's MAC table lists them."""
+        table = {
+            OperatorKind.NOFUSION: ((4_128_768, 264_241_152, 528_482_304), 460_800),
+            OperatorKind.I3D: ((12_386_304, 792_723_456, 1_585_446_912), 1_382_400),
+            OperatorKind.P3D: ((92_209_152, 616_562_688, 880_803_840), 952_320),
+            OperatorKind.ACS: ((4_128_768, 264_241_152, 528_482_304), 460_800),
+            OperatorKind.TSM: ((4_128_768, 264_241_152, 528_482_304), 460_800),
+            OperatorKind.A3D: ((4_178_944, 265_043_968, 529_285_120), 480_000),
+        }
+        default = layer_dims(BackboneConfig())
+        demo = layer_dims(BackboneConfig(depth=5, stages=DEMO_STAGES, height=16, width=16))
+        for kind, (layers, demo_total) in table.items():
+            assert tuple(count_macs(kind, dims) for dims in default) == layers, kind
+            assert sum(count_macs(kind, dims) for dims in demo) == demo_total, kind
 
 
 class TestAgainstImplementation:

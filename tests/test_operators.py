@@ -16,6 +16,7 @@ from ctfuse.operators import (
     parameter_count,
     p3d_aux_init,
     save_operator,
+    stage_shapes,
 )
 from ctfuse.rng import SeededRng
 from ctfuse.tensor import ShapeError, conv3d_backward, identity_mix
@@ -415,6 +416,40 @@ class TestStateValidation:
         with pytest.raises(ShapeError):
             OperatorState(OperatorKind.A3D, (np.ones((2, 3, 1, 3, 3)),),
                           mix=np.ones((4, 4, 2)))
+
+
+WEIGHT_NAMES = {
+    OperatorKind.NOFUSION: ("main",),
+    OperatorKind.I3D: ("main",),
+    OperatorKind.P3D: ("main", "aux"),
+    OperatorKind.ACS: ("axial", "coronal", "sagittal"),
+    OperatorKind.TSM: ("main",),
+    OperatorKind.A3D: ("main", "mix"),
+}
+
+
+class TestStageTable:
+    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda kind: kind.value)
+    def test_table_shapes_equal_inflated_shapes(self, kind, k):
+        st = make_state(kind, SeededRng(340), c_out=7, c_in=16, k=k, depth=6)
+        table = {name: shape for _, shapes in stage_shapes(kind, 16, 7, k, 6)
+                 for name, shape in shapes.items()}
+        assert list(st.weight_arrays()) == list(WEIGHT_NAMES[kind])
+        assert table == {name: arr.shape for name, arr in st.weight_arrays().items()}
+
+    @pytest.mark.parametrize("direction", ["wide", "deep"])
+    @pytest.mark.parametrize("kind,name", [(kind, name) for kind in ALL_KINDS
+                                           for name in WEIGHT_NAMES[kind]],
+                             ids=lambda v: getattr(v, "value", v))
+    def test_weight_one_entry_off_rejected(self, kind, name, direction):
+        """One entry too many along the last axis (wide) or the depth axis
+        (deep: Kd of a kernel, the first D of the mixing stack)."""
+        st = make_state(kind, SeededRng(341), c_out=7, c_in=8, depth=5)
+        shape = list(st.weight_arrays()[name].shape)
+        shape[-1 if direction == "wide" else (0 if name == "mix" else 2)] += 1
+        with pytest.raises(ShapeError):
+            st.with_named({name: np.ones(shape)})
 
 
 class TestSerialization:

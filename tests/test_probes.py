@@ -66,6 +66,13 @@ class TestAxialRadius:
         st = generic_state(OperatorKind.I3D, rng, c_out=3, c_in=2, k=5, depth=7)
         assert axial_radius(st) == 2
 
+    def test_radius_sums_stage_reaches_at_kernel_extent_five(self):
+        rng = SeededRng(4)
+        for i, (kind, radius) in enumerate(((OperatorKind.P3D, 2), (OperatorKind.ACS, 2),
+                                            (OperatorKind.TSM, 1))):
+            st = generic_state(kind, rng.fork(i), c_out=3, c_in=2, k=5, depth=7, tsm_div=2)
+            assert axial_radius(st) == radius, kind
+
 
 class TestEquivarianceProbe:
     def test_nofusion_is_exactly_equivariant_everywhere(self):
