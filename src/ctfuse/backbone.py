@@ -23,16 +23,13 @@ import numpy as np
 from . import ctf
 from .costmodel import HeadLayer, LayerDims
 from .operators import (
-    OperatorGrads,
     OperatorKind,
     OperatorState,
     backward as op_backward,
     forward as op_forward,
     inflate,
     load_operator,
-    parameter_count,
     save_operator,
-    sgd_step,
 )
 from .rng import SeededRng
 from .tensor import ShapeError, as_volume
@@ -105,13 +102,35 @@ class Backbone:
     collapse: np.ndarray
 
 
-@dataclass
-class BackboneGrads:
-    """Gradient arrays in the same layout as Backbone's weights."""
+def _dotted(fusion_layers, unify_kernels, collapse) -> dict[str, np.ndarray]:
+    named = {}
+    for i, (op, bias) in enumerate(fusion_layers):
+        named.update((f"layer{i}.{n}", arr) for n, arr in op.weight_arrays().items())
+        named[f"layer{i}.bias"] = bias
+    named.update((f"unify{s}", k) for s, k in enumerate(unify_kernels))
+    named["collapse"] = collapse
+    return named
 
-    fusion_layers: list[tuple[OperatorGrads, np.ndarray]]
-    unify_kernels: list[np.ndarray]
-    collapse: np.ndarray
+
+def named_weights(bb: Backbone) -> dict[str, np.ndarray]:
+    """Every weight by dotted name, in a fixed order: per fusion layer i
+    layer{i}.<operator weight name> (main, aux, mix, axial, coronal,
+    sagittal) then layer{i}.bias; then unify{s} per stage; then collapse.
+    backward_features returns gradients under the same names."""
+    return _dotted(bb.fusion_layers, bb.unify_kernels, bb.collapse)
+
+
+def with_named(bb: Backbone, named: dict[str, np.ndarray]) -> Backbone:
+    """Copy of bb with the weights named in `named` swapped out; a name
+    named_weights does not give raises KeyError."""
+    new = named_weights(bb)
+    if unknown := named.keys() - new.keys():
+        raise KeyError(f"no backbone weights named {sorted(unknown)}")
+    new.update(named)
+    fusion = [(state.with_named({n: new[f"layer{i}.{n}"] for n in state.weight_arrays()}),
+               new[f"layer{i}.bias"]) for i, (state, _) in enumerate(bb.fusion_layers)]
+    unify = [new[f"unify{s}"] for s in range(len(bb.unify_kernels))]
+    return Backbone(bb.config, fusion, unify, new["collapse"])
 
 
 def layer_dims(config: BackboneConfig) -> list[LayerDims]:
@@ -252,8 +271,9 @@ def forward_features(bb: Backbone, x, tape: Tape | None = None) -> np.ndarray:
     return feat
 
 
-def backward_features(bb: Backbone, x, grad_map, tape: Tape | None = None) -> BackboneGrads:
-    """Exact adjoints for every weight given the feature-map gradient.
+def backward_features(bb: Backbone, x, grad_map, tape: Tape | None = None) -> dict[str, np.ndarray]:
+    """Exact adjoints for every weight given the feature-map gradient,
+    keyed and ordered as named_weights(bb).
 
     Reads the forward's intermediates from the tape forward_features(bb,
     x, tape) filled, or reruns the forward without one.  A tape filled
@@ -280,7 +300,7 @@ def backward_features(bb: Backbone, x, grad_map, tape: Tape | None = None) -> Ba
         _head_conv_adjoint(out, bb.unify_kernels[s], _upsample_adjoint(grad_summed, 2 ** s))
         for s, out in enumerate(stage_outputs)))
 
-    grad_fusion: list[tuple[OperatorGrads, np.ndarray]] = [None] * len(bb.fusion_layers)
+    grad_fusion = [None] * len(bb.fusion_layers)
     li = len(bb.fusion_layers)
     carry = None
     for s in range(len(config.stages) - 1, -1, -1):
@@ -295,21 +315,12 @@ def backward_features(bb: Backbone, x, grad_map, tape: Tape | None = None) -> Ba
             carry = grad_in
         if s > 0:
             carry = np.repeat(np.repeat(carry, 2, axis=2), 2, axis=3) / 4.0
-    return BackboneGrads(grad_fusion, list(grad_unify), grad_collapse)
+    return _dotted(grad_fusion, grad_unify, grad_collapse)
 
 
-def apply_sgd(bb: Backbone, grads: BackboneGrads, lr: float) -> Backbone:
+def apply_sgd(bb: Backbone, grads: dict[str, np.ndarray], lr: float) -> Backbone:
     """New backbone with every weight stepped by -lr * grad."""
-    fusion = [(sgd_step(state, g, lr), bias - lr * gb)
-              for (state, bias), (g, gb) in zip(bb.fusion_layers, grads.fusion_layers)]
-    unify = [k - lr * g for k, g in zip(bb.unify_kernels, grads.unify_kernels)]
-    return Backbone(bb.config, fusion, unify, bb.collapse - lr * grads.collapse)
-
-
-def total_parameters(bb: Backbone) -> int:
-    total = sum(parameter_count(st) + bias.size for st, bias in bb.fusion_layers)
-    total += sum(k.size for k in bb.unify_kernels)
-    return int(total + bb.collapse.size)
+    return with_named(bb, {n: w - lr * grads[n] for n, w in named_weights(bb).items()})
 
 
 _MANIFEST_NAME = "backbone.txt"
@@ -354,9 +365,10 @@ def save_checkpoint(bb: Backbone, dirpath) -> None:
 def load_checkpoint(dirpath) -> Backbone:
     """Read back a directory written by save_checkpoint.
 
-    Every tensor must have the kind and shape the manifest implies; a
-    disagreement, or a value that makes no valid config, raises
-    ContainerError naming the manifest or the tensor file.
+    Every tensor must have the kind and shape the manifest implies and
+    hold only finite values; a disagreement, a non-finite weight, or a
+    value that makes no valid config, raises ContainerError naming the
+    manifest or the tensor file.
     """
     path = Path(dirpath)
     m = ctf.read_manifest(path / _MANIFEST_NAME)
@@ -368,12 +380,6 @@ def load_checkpoint(dirpath) -> Backbone:
     except ValueError as exc:
         raise ctf.ContainerError(f"{m.path}: {exc}") from None
 
-    def weight(name, shape):
-        arr = ctf.read_tensor(path / name)
-        if arr.shape != shape:
-            raise ctf.ContainerError(f"{path / name}: shape {arr.shape}, expected {shape}")
-        return arr
-
     fusion_layers = []
     for i, dims in enumerate(layer_dims(config)):
         state = load_operator(path / f"layer{i}")
@@ -384,8 +390,9 @@ def load_checkpoint(dirpath) -> Backbone:
             raise ctf.ContainerError(
                 f"{m.path}: stages={m['stages']} gives layer{i} {dims.c_in} -> {dims.c_out} "
                 f"channels, but it holds {state.c_in} -> {state.c_out}")
-        fusion_layers.append((state, weight(f"layer{i}_bias.ctf", (dims.c_out,))))
+        fusion_layers.append((state, ctf.read_weight(path / f"layer{i}_bias.ctf", (dims.c_out,))))
     cf = config.feature_channels
-    unify = [weight(f"unify{s}.ctf", (cf, c, 1, 1, 1)) for s, (c, _) in enumerate(config.stages)]
-    collapse = weight("collapse.ctf", (cf, cf, config.depth, 1, 1))
+    unify = [ctf.read_weight(path / f"unify{s}.ctf", (cf, c, 1, 1, 1))
+             for s, (c, _) in enumerate(config.stages)]
+    collapse = ctf.read_weight(path / "collapse.ctf", (cf, cf, config.depth, 1, 1))
     return Backbone(config, fusion_layers, unify, collapse)

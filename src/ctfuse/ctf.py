@@ -67,6 +67,18 @@ def read_tensor(path) -> np.ndarray:
     return np.ascontiguousarray(values.astype(np.float64).reshape(dims))
 
 
+def read_weight(path, shape=None) -> np.ndarray:
+    """read_tensor for a stored model weight: it must hold only finite
+    values and, when shape is given, have that shape; otherwise
+    ContainerError naming the file."""
+    arr = read_tensor(path)
+    if shape is not None and arr.shape != shape:
+        raise ContainerError(f"{path}: shape {arr.shape}, expected {shape}")
+    if not np.isfinite(arr).all():
+        raise ContainerError(f"{path}: weights hold non-finite values")
+    return arr
+
+
 def write_manifest(path, entries: dict) -> None:
     """Write key=value pairs, one per line, in the dict's iteration order."""
     lines = []

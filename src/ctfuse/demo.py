@@ -234,14 +234,6 @@ def _resolve_backbone(cfg: TrainConfig, data: TaskData) -> BackboneConfig:
     return replace(base, fusion=cfg.fusion, seed=SeededRng(cfg.seed).fork(1).seed)
 
 
-def _grad_arrays(grads) -> list[np.ndarray]:
-    """Every gradient array of a BackboneGrads, in a fixed order."""
-    arrays = []
-    for opg, bias in grads.fusion_layers:
-        arrays += [*opg.weight_arrays().values(), bias]
-    return arrays + [*grads.unify_kernels, grads.collapse]
-
-
 def train(data: TaskData, cfg: TrainConfig) -> DemoMetrics:
     """Fit the model and report per-epoch loss and ranking quality.
 
@@ -289,10 +281,10 @@ def train(data: TaskData, cfg: TrainConfig) -> DemoMetrics:
                 if total is None:
                     total = grads
                 else:
-                    for arr, add in zip(_grad_arrays(total), _grad_arrays(grads)):
-                        arr += add
+                    for name, add in grads.items():
+                        total[name] += add
             inv = 1.0 / len(batch)
-            for arr in _grad_arrays(total):
+            for arr in total.values():
                 arr *= inv
             bb = apply_sgd(bb, total, cfg.learning_rate)
             head_v = head_v - cfg.learning_rate * inv * total_v

@@ -223,7 +223,7 @@ class OperatorState:
     acs_splits the per-view channel counts.  depth_hint records the depth
     the state was built for; only a3d enforces it.  Every shape must be
     the one stage_shapes gives the kind.  Treat instances as immutable:
-    training code builds updated copies via `with_weights`.
+    training code builds updated copies via `with_named`.
     """
 
     kind: OperatorKind
@@ -288,16 +288,8 @@ class OperatorState:
 
     def with_named(self, named: dict[str, np.ndarray]) -> "OperatorState":
         """Copy of this state with the weights named in `named` swapped out."""
-        return self.with_weights(*_split_named(named))
-
-    def with_weights(self, kernels=None, aux=None, mix=None) -> "OperatorState":
-        """Copy of this state with some weight arrays swapped out."""
-        return replace(
-            self,
-            kernels=tuple(kernels) if kernels is not None else self.kernels,
-            aux=aux if aux is not None else self.aux,
-            mix=mix if mix is not None else self.mix,
-        )
+        kernels, aux, mix = _split_named({**self.weight_arrays(), **named})
+        return replace(self, kernels=kernels, aux=aux, mix=mix)
 
 
 @dataclass(frozen=True)
@@ -323,9 +315,8 @@ def _named_weights(kernels, aux, mix) -> dict[str, np.ndarray]:
 
 
 def _split_named(named) -> tuple:
-    """(kernels or None, aux, mix) of a weight-name dict: _named_weights inverted."""
-    kernels = tuple(named[n] for n in _KERNEL_NAMES if n in named)
-    return kernels or None, named.get("aux"), named.get("mix")
+    """(kernels, aux, mix) of a weight-name dict: _named_weights inverted."""
+    return tuple(named[n] for n in _KERNEL_NAMES if n in named), named.get("aux"), named.get("mix")
 
 
 def _as_kernel2d(w2d) -> np.ndarray:
@@ -375,7 +366,7 @@ def inflate(kind: OperatorKind, w2d, depth: int, rng: SeededRng | None = None, *
     fields = {}
     if "acs_splits" in needed:
         fields["acs_splits"] = acs_split(co)
-        fields["kernels"] = _acs_kernels_from_planes(w2d, fields["acs_splits"])
+        fields["kernels"] = _acs_kernels_from_planes(w2d.copy(), fields["acs_splits"])
     elif kind is OperatorKind.I3D:
         fields["kernels"] = (np.repeat((w2d / k)[:, :, None], k, axis=2),)
     else:
@@ -435,12 +426,6 @@ def parameter_count(state: OperatorState) -> int:
     return int(sum(arr.size for arr in state.weight_arrays().values()))
 
 
-def sgd_step(state: OperatorState, grads: OperatorGrads, lr: float) -> OperatorState:
-    """New state with every weight moved one plain gradient step."""
-    g = grads.weight_arrays()
-    return state.with_named({n: w - lr * g[n] for n, w in state.weight_arrays().items()})
-
-
 _MANIFEST_NAME = "operator.txt"
 _ACS_KEYS = ("acs_axial", "acs_coronal", "acs_sagittal")
 
@@ -486,13 +471,14 @@ def load_operator(dirpath) -> OperatorState:
 
     The manifest's c_out, c_in, k and depth must agree with the loaded
     tensors' shapes (depth only for a3d, whose mixing stack fixes it);
-    a disagreement raises ContainerError naming the manifest and key.
+    a disagreement raises ContainerError naming the manifest and key,
+    and a weight file holding a non-finite value one naming the file.
     """
     path = Path(dirpath)
     entries = ctf.read_manifest(path / _MANIFEST_NAME)
     kind = entries.parse("kind", OperatorKind.from_name)
     needed = {stage.name for stage in STAGES[kind]}
-    main = ctf.read_tensor(path / "main.ctf")
+    main = ctf.read_weight(path / "main.ctf")
     fields = {"kernels": (main,), "seed": entries.parse("seed") if "seed" in entries else None,
               "depth_hint": entries.parse("depth") if "depth" in entries else None}
     if "acs_splits" in needed:
@@ -504,10 +490,10 @@ def load_operator(dirpath) -> OperatorState:
     if "shift_splits" in needed:
         fields["shift_splits"] = (entries.parse("shift_up"), entries.parse("shift_down"))
     if "aux" in needed:
-        fields["aux"] = ctf.read_tensor(path / "aux.ctf")
+        fields["aux"] = ctf.read_weight(path / "aux.ctf")
     if "mix" in needed:
         # The mixing stack fixes the depth; the manifest's is checked below.
-        fields["mix"], fields["depth_hint"] = ctf.read_tensor(path / "p.ctf"), None
+        fields["mix"], fields["depth_hint"] = ctf.read_weight(path / "p.ctf"), None
     state = OperatorState(kind, **fields)
     for key in ("c_out", "c_in", "k"):
         entries.expect(key, getattr(state, key))

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backbone import Backbone, BackboneConfig, backward_features, build, forward_features
+from .backbone import (BackboneConfig, backward_features, build, forward_features, named_weights,
+                       with_named)
 from .operators import (
     ALL_KINDS,
     STAGES,
@@ -213,21 +214,12 @@ def _backbone_fd(rng: SeededRng, samples: int) -> tuple[float, int]:
     bb = build(config)
     x = r.uniform(-1, 1, (1, 3, 8, 8))
     g = r.uniform(-1, 1, (4, 8, 8))
-    state, bias = bb.fusion_layers[0]
-    tensors = {**state.weight_arrays(), "bias": bias, "unify": bb.unify_kernels[0],
-               "collapse": bb.collapse}
-
-    def rebuild(t):
-        return Backbone(config, [(state.with_named(t), t["bias"])], [t["unify"]], t["collapse"])
 
     def loss(t):
-        return float(np.sum(g * forward_features(rebuild(t), x)))
+        return float(np.sum(g * forward_features(with_named(bb, t), x)))
 
-    grads = backward_features(bb, x, g)
-    opg, biasg = grads.fusion_layers[0]
-    analytic = {**opg.weight_arrays(), "bias": biasg, "unify": grads.unify_kernels[0],
-                "collapse": grads.collapse}
-    return finite_diff_check(loss, tensors, analytic, r.fork(5), samples=samples)
+    return finite_diff_check(loss, named_weights(bb), backward_features(bb, x, g), r.fork(5),
+                             samples=samples)
 
 
 GRAD_TARGETS = ("conv3d", "slice_contract") + tuple(k.value for k in ALL_KINDS) + ("backbone",)

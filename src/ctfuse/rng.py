@@ -94,9 +94,3 @@ class SeededRng:
         if n < 0:
             raise ValueError(f"permutation size must be >= 0, got {n}")
         return np.argsort(self._words(n), kind="stable")
-
-    def sample_indices(self, n: int, k: int) -> np.ndarray:
-        """k distinct indices from range(n); all of them when k >= n."""
-        if k >= n:
-            return np.arange(n)
-        return self.permutation(n)[:k]

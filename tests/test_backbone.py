@@ -5,7 +5,6 @@ import pytest
 
 from ctfuse.backbone import (
     KERNEL_SIZE,
-    Backbone,
     BackboneConfig,
     Tape,
     _upsample_adjoint,
@@ -15,9 +14,10 @@ from ctfuse.backbone import (
     forward_features,
     layer_dims,
     load_checkpoint,
+    named_weights,
     parse_stages,
     save_checkpoint,
-    total_parameters,
+    with_named,
 )
 from ctfuse.costmodel import count_params
 from ctfuse.operators import ALL_KINDS, OperatorKind
@@ -107,7 +107,7 @@ class TestBuild:
         want += 4           # bias
         want += 4 * 4       # unification 1x1x1
         want += 4 * 4 * 3   # collapse Dx1x1
-        assert total_parameters(bb) == want
+        assert sum(a.size for a in named_weights(bb).values()) == want
 
     def test_a3d_mix_near_identity_at_build(self):
         bb = build(BackboneConfig(**TINY, fusion=OperatorKind.A3D))
@@ -218,12 +218,8 @@ class TestAxialSensitivity:
             bb.collapse[f, f, :, 0, 0] = taps
         if nudge_weights:
             rng = SeededRng(500)
-            layers = []
-            for state, bias in bb.fusion_layers:
-                if state.aux is not None:
-                    state = state.with_weights(aux=state.aux + rng.uniform(0.05, 0.1, state.aux.shape))
-                layers.append((state, bias))
-            bb.fusion_layers = layers
+            bb = with_named(bb, {n: a + rng.uniform(0.05, 0.1, a.shape)
+                                 for n, a in named_weights(bb).items() if n.endswith(".aux")})
         x = rand_input(c, seed=33)
         base = forward_features(bb, x)
         bumped = x.copy()
@@ -244,11 +240,9 @@ class TestBackward:
         c = BackboneConfig(**TWO_STAGE)
         bb = build(c)
         grads = backward_features(bb, rand_input(c), np.zeros((6, 8, 8)))
-        for g, gb in grads.fusion_layers:
-            assert not gb.any()
-            assert all(not a.any() for a in g.weight_arrays().values())
-        assert all(not g.any() for g in grads.unify_kernels)
-        assert not grads.collapse.any()
+        assert list(grads) == list(named_weights(bb))
+        for name, g in grads.items():
+            assert not g.any(), name
 
     def test_finite_differences_tiny_config(self):
         """Full-pipeline check on (D=3, H=W=8, one stage, 4 channels): 30
@@ -265,45 +259,18 @@ class TestBackward:
         grads = backward_features(bb, x, g)
         step = 1e-5
         checked = 0
-
-        def check(arr, garr, mutate):
-            nonlocal checked
+        assert list(grads) == ["layer0.main", "layer0.mix", "layer0.bias", "unify0", "collapse"]
+        for name, arr in named_weights(bb).items():
             for _ in range(30):
                 idx = tuple(int(rng.uniform(0, s)) for s in arr.shape)
                 hi, lo = arr.copy(), arr.copy()
                 hi[idx] += step
                 lo[idx] -= step
-                num = (loss(mutate(hi)) - loss(mutate(lo))) / (2 * step)
-                ana = garr[idx]
-                assert abs(num - ana) <= 1e-5 * max(abs(num), abs(ana), 1e-12)
+                up, down = (loss(with_named(bb, {name: a})) for a in (hi, lo))
+                num = (up - down) / (2 * step)
+                ana = grads[name][idx]
+                assert abs(num - ana) <= 1e-5 * max(abs(num), abs(ana), 1e-12), name
                 checked += 1
-
-        state, bias = bb.fusion_layers[0]
-        opg, biasg = grads.fusion_layers[0]
-
-        def with_main(a):
-            nb = Backbone(c, [(state.with_weights(kernels=(a,)), bias)],
-                          bb.unify_kernels, bb.collapse)
-            return nb
-
-        def with_mix(a):
-            return Backbone(c, [(state.with_weights(mix=a), bias)],
-                            bb.unify_kernels, bb.collapse)
-
-        def with_bias(a):
-            return Backbone(c, [(state, a)], bb.unify_kernels, bb.collapse)
-
-        def with_unify(a):
-            return Backbone(c, bb.fusion_layers, [a], bb.collapse)
-
-        def with_collapse(a):
-            return Backbone(c, bb.fusion_layers, bb.unify_kernels, a)
-
-        check(state.kernels[0], opg.kernels[0], with_main)
-        check(state.mix, opg.mix, with_mix)
-        check(bias, biasg, with_bias)
-        check(bb.unify_kernels[0], grads.unify_kernels[0], with_unify)
-        check(bb.collapse, grads.collapse, with_collapse)
         assert checked == 150
 
     def test_detached_last_stage(self):
@@ -314,11 +281,9 @@ class TestBackward:
         bb.unify_kernels[1] = np.zeros_like(bb.unify_kernels[1])
         rng = SeededRng(601)
         grads = backward_features(bb, rand_input(c), rng.uniform(-1, 1, (6, 8, 8)))
-        last_g, last_bias_g = grads.fusion_layers[1]
-        assert all(not a.any() for a in last_g.weight_arrays().values())
-        assert not last_bias_g.any()
-        first_g, _ = grads.fusion_layers[0]
-        assert any(a.any() for a in first_g.weight_arrays().values())
+        assert not any(g.any() for n, g in grads.items() if n.startswith("layer1."))
+        assert any(g.any() for n, g in grads.items()
+                   if n.startswith("layer0.") and n != "layer0.bias")
 
     def test_grad_map_shape_rejected(self):
         c = BackboneConfig(**TINY)
@@ -328,10 +293,50 @@ class TestBackward:
 
 
 def grad_bytes(grads):
-    arrays = [*grads.unify_kernels, grads.collapse]
-    for opg, bias in grads.fusion_layers:
-        arrays += [*opg.weight_arrays().values(), bias]
-    return [a.tobytes() for a in arrays]
+    return [(name, a.tobytes()) for name, a in grads.items()]
+
+
+NAMES = {
+    OperatorKind.NOFUSION: ("main",),
+    OperatorKind.I3D: ("main",),
+    OperatorKind.P3D: ("main", "aux"),
+    OperatorKind.ACS: ("axial", "coronal", "sagittal"),
+    OperatorKind.TSM: ("main",),
+    OperatorKind.A3D: ("main", "mix"),
+}
+
+
+class TestNamedWeights:
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    def test_names_in_order(self, kind):
+        bb = build(BackboneConfig(**TWO_STAGE, fusion=kind))
+        want = [f"layer{i}.{n}" for i in range(2) for n in NAMES[kind] + ("bias",)]
+        assert list(named_weights(bb)) == want + ["unify0", "unify1", "collapse"]
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    def test_gradients_have_the_same_names_and_shapes(self, kind):
+        c = BackboneConfig(**TWO_STAGE, fusion=kind)
+        bb = build(c)
+        grads = backward_features(bb, rand_input(c), SeededRng(630).uniform(-1, 1, (6, 8, 8)))
+        assert [(n, g.shape) for n, g in grads.items()] == \
+            [(n, a.shape) for n, a in named_weights(bb).items()]
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    def test_rebuild_from_the_view_is_bitwise(self, kind):
+        c = BackboneConfig(**TWO_STAGE, fusion=kind)
+        bb = build(c)
+        x = rand_input(c)
+        again = with_named(bb, named_weights(bb))
+        assert forward_features(again, x).tobytes() == forward_features(bb, x).tobytes()
+
+    def test_with_named_swaps_only_the_named_weights(self):
+        bb = build(BackboneConfig(**TWO_STAGE, fusion=OperatorKind.ACS))
+        coronal = np.ones_like(named_weights(bb)["layer1.coronal"])
+        nb = with_named(bb, {"layer1.coronal": coronal})
+        for name, arr in named_weights(nb).items():
+            assert arr is (coronal if name == "layer1.coronal" else named_weights(bb)[name])
+        with pytest.raises(KeyError, match="layer1.mian"):
+            with_named(bb, {"layer1.mian": coronal})
 
 
 class TestTape:
@@ -395,7 +400,7 @@ class TestTraining:
         nb = apply_sgd(bb, grads, lr=0.1)
         assert not np.array_equal(nb.fusion_layers[0][0].kernels[0],
                                   bb.fusion_layers[0][0].kernels[0])
-        want = bb.collapse - 0.1 * grads.collapse
+        want = bb.collapse - 0.1 * grads["collapse"]
         assert np.array_equal(nb.collapse, want)
 
     def test_sgd_zero_lr_identity(self):

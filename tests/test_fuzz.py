@@ -6,9 +6,12 @@ rank or with one dimension off, and manifests with a required key
 missing, a key contradicting the tensors, or a non-integer value.
 Loading and running each one must fail with ContainerError or
 ShapeError, never IndexError, KeyError or struct.error, and `ctfuse
-forward` on a sample of them must exit 1 without a traceback.
+forward` on a sample of them must exit 1 without a traceback.  A NaN or
+an infinity written into any weight file must fail to load with
+ContainerError naming the file.
 """
 
+import re
 import shutil
 import struct
 
@@ -153,3 +156,34 @@ def test_every_corruption_fails_with_a_typed_error(tmp_path, capsys):
                 (where, err)
         seen.add(case)
     assert seen == set(TENSOR_CASES + MANIFEST_CASES)
+
+
+PAYLOADS = (float("nan"), float("inf"), float("-inf"))
+
+
+def test_every_non_finite_weight_is_rejected(tmp_path, capsys):
+    sources = _sources(tmp_path / "src")
+    r = SeededRng(SEED).fork(2)
+    case = 0
+    files = set()
+    for flag, source, volume, _, _ in sources:
+        for target in sorted(source.rglob("*.ctf")):
+            files.add(target.name)
+            for payload in PAYLOADS:
+                work = tmp_path / f"nonfinite{case}"
+                shutil.copytree(source, work)
+                path = work / target.relative_to(source)
+                arr = ctf.read_tensor(path)
+                arr.flat[int(r.uniform(0, arr.size))] = payload
+                ctf.write_tensor(path, arr)
+                with pytest.raises(ctf.ContainerError, match=re.escape(str(path))):
+                    _load_and_run(flag, work, volume)
+                if case % CLI_EVERY == 0:
+                    code = main(["forward", flag, str(work), "--input", str(volume),
+                                 "--out", str(tmp_path / "y.ctf")])
+                    err = capsys.readouterr().err
+                    assert code == 1 and err.startswith("error:") and "Traceback" not in err, \
+                        (payload, path, err)
+                case += 1
+    assert files == {"main.ctf", "aux.ctf", "p.ctf", "layer0_bias.ctf", "layer1_bias.ctf",
+                     "unify0.ctf", "unify1.ctf", "collapse.ctf"}

@@ -31,10 +31,8 @@ def generic_state(kind, rng, c_out=5, c_in=8, k=3, depth=4):
     """A state with every weight tensor randomized and nonzero, so nothing
     degenerates to the init-time special cases."""
     st = make_state(kind, rng, c_out=c_out, c_in=c_in, k=k, depth=depth)
-    kernels = tuple(rng.uniform(0.1, 1.0, arr.shape) for arr in st.kernels)
-    aux = rng.uniform(0.1, 1.0, st.aux.shape) if st.aux is not None else None
-    mix = rng.uniform(0.1, 1.0, st.mix.shape) if st.mix is not None else None
-    return st.with_weights(kernels=kernels, aux=aux, mix=mix)
+    return st.with_named({name: rng.uniform(0.1, 1.0, arr.shape)
+                          for name, arr in st.weight_arrays().items()})
 
 
 class TestAcsSplit:
@@ -103,6 +101,17 @@ class TestInflate:
         assert np.array_equal(ka[:, :, 0], w2d[:3])
         assert np.array_equal(kc[:, :, :, 0], w2d[3:5])
         assert np.array_equal(ks[:, :, :, :, 0], w2d[5:])
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    def test_weights_share_no_memory_with_w2d(self, kind):
+        """Writing to the 2D kernel after inflate leaves the operator alone."""
+        w2d = SeededRng(304).uniform(-1, 1, (7, 2, 3, 3))
+        st = inflate(kind, w2d, depth=5, rng=SeededRng(305))
+        for name, arr in st.weight_arrays().items():
+            assert not np.shares_memory(arr, w2d), name
+        before = forward(st, np.ones((2, 5, 4, 4)))
+        w2d[...] = 5.0
+        assert np.array_equal(forward(st, np.ones((2, 5, 4, 4))), before)
 
     def test_tsm_split_fraction(self):
         st = inflate(OperatorKind.TSM, np.ones((2, 16, 3, 3)), depth=5)
@@ -321,8 +330,8 @@ class TestBackward:
                     wp, wm = warr.copy(), warr.copy()
                     wp[wi] += step
                     wm[wi] -= step
-                    stp = _swap_weight(st, name, wp)
-                    stm = _swap_weight(st, name, wm)
+                    stp = st.with_named({name: wp})
+                    stm = st.with_named({name: wm})
                     num = (loss(stp, x) - loss(stm, x)) / (2 * step)
                     ana = ganalytic[wi]
                     assert abs(num - ana) <= 1e-6 * max(abs(num), abs(ana), 1e-12), (kind, name)
@@ -377,17 +386,6 @@ class TestBackward:
             assert list(grads.weight_arrays()) == list(want)
             for name, arr in grads.weight_arrays().items():
                 assert arr.tobytes() == want[name].tobytes(), (st.kind, name)
-
-
-def _swap_weight(st: OperatorState, name: str, arr: np.ndarray) -> OperatorState:
-    if name == "aux":
-        return st.with_weights(aux=arr)
-    if name == "mix":
-        return st.with_weights(mix=arr)
-    names = list(st.weight_arrays())
-    kernels = list(st.kernels)
-    kernels[names.index(name)] = arr
-    return st.with_weights(kernels=tuple(kernels))
 
 
 class TestStateValidation:

@@ -165,7 +165,7 @@ class TestEquivarianceProbe:
         k = np.zeros((1, 1, 3, 3, 3))
         taps = rng.uniform(0.5, 1.5, (3,))
         k[0, 0, :, 1, 1] = taps
-        st = inflate(OperatorKind.I3D, np.ones((1, 1, 3, 3)), d_total).with_weights(kernels=(k,))
+        st = inflate(OperatorKind.I3D, np.ones((1, 1, 3, 3)), d_total).with_named({"main": k})
         x = rng.uniform(-1, 1, (1, d_total, 1, 1))
         for s in (1, -2):
             err = forward(st, shift_volume(x, s)) - shift_volume(forward(st, x), s)

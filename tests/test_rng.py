@@ -99,13 +99,6 @@ class TestPermutation:
     def test_deterministic(self):
         assert np.array_equal(SeededRng(4).permutation(30), SeededRng(4).permutation(30))
 
-    def test_sample_indices_subset(self):
-        idx = SeededRng(8).sample_indices(20, 6)
-        assert len(idx) == 6
-        assert len(set(idx.tolist())) == 6
-        assert all(0 <= i < 20 for i in idx.tolist())
-
-
 class TestValidation:
     def test_bad_seed_masked(self):
         assert SeededRng(1 << 70).seed == 0
