@@ -331,11 +331,16 @@ def _stages_str(stages) -> str:
 
 
 def parse_stages(text: str) -> tuple[tuple[int, int], ...]:
-    """Parse '64x1,256x1' into ((64, 1), (256, 1))."""
+    """Parse '64x1,256x1' into ((64, 1), (256, 1)); a bare 'C' means one
+    block.  A piece of another form raises ValueError naming it."""
     out = []
     for piece in text.split(","):
         c, _, b = piece.strip().partition("x")
-        out.append((int(c), int(b) if b else 1))
+        try:
+            out.append((int(c), int(b) if b else 1))
+        except ValueError:
+            raise ValueError(f"stage {piece.strip()!r} in {text!r} is not of the form "
+                             f"CxB (channels x blocks, e.g. 64x1)") from None
     return tuple(out)
 
 

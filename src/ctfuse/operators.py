@@ -287,8 +287,12 @@ class OperatorState:
         return _named_weights(self.kernels, self.aux, self.mix)
 
     def with_named(self, named: dict[str, np.ndarray]) -> "OperatorState":
-        """Copy of this state with the weights named in `named` swapped out."""
-        kernels, aux, mix = _split_named({**self.weight_arrays(), **named})
+        """Copy of this state with the weights named in `named` swapped out;
+        a name weight_arrays does not give raises KeyError."""
+        own = self.weight_arrays()
+        if unknown := named.keys() - own.keys():
+            raise KeyError(f"no {self.kind.value} weights named {sorted(unknown)}")
+        kernels, aux, mix = _split_named({**own, **named})
         return replace(self, kernels=kernels, aux=aux, mix=mix)
 
 

@@ -186,7 +186,8 @@ def _operator_fd(kind: OperatorKind, rng: SeededRng, samples: int) -> tuple[floa
     g = r.uniform(-1, 1, (5, 3, 6, 6))
 
     def loss(tensors):
-        return float(np.sum(g * op_forward(st.with_named(tensors), tensors["x"])))
+        weights = {n: a for n, a in tensors.items() if n != "x"}
+        return float(np.sum(g * op_forward(st.with_named(weights), tensors["x"])))
 
     gx, grads = op_backward(st, x, g)
     tensors = {"x": x, **st.weight_arrays()}

@@ -14,14 +14,25 @@ Conventions
   oracle and equivariance tests pin.  The convolution is an einsum over
   the patch rows (input channel, then kernel depth, row, column); the
   slice contraction is one einsum that adds the source slices d in
-  ascending order.  The backward passes are BLAS matrix products:
-  bit-identical at a fixed shape and BLAS thread count, but not in the
-  scalar order.
+  ascending order.  Above _SPLIT_MACS multiply-adds the convolution's
+  einsum runs in contiguous output-channel blocks, one per CPU the
+  process may run on; a block leaves each output element's order of
+  terms as it is, so the bits do not depend on the thread count.  The
+  backward passes are BLAS matrix products: bit-identical at a fixed
+  shape and BLAS thread count, but not in the scalar order.  They, and
+  the backbone's head, stay single calls, because splitting a BLAS
+  product changes its bits: with one OpenBLAS 0.3.31 thread, halving the
+  rows of a product of random shape (sides 2-299) changed its bits in
+  235 of 600 draws and halving its columns in 309, and halving the rows
+  of conv3d_backward's G @ pat^T changed them in 201 of 300.
 * "Shift up" means output slice d reads input slice d+1; "down" reads
   d-1.  Vacated slices are zero-filled.
 
 All functions are pure; inputs are never modified.
 """
+
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -89,6 +100,38 @@ def _padded_patches(x: np.ndarray, kd: int, kh: int, kw: int) -> np.ndarray:
     return windows.transpose(0, 4, 5, 6, 1, 2, 3).reshape(ci * kd * kh * kw, d * h * w)
 
 
+# Forward convolutions of more multiply-adds than this split over threads.
+# Split on two CPUs, a demo layer (at most 1.1e6) ran up to four times
+# slower, stage 0 of the default backbone (4.1e6) within noise of one
+# call, and stage 1 (2.6e8) about twice as fast.
+_SPLIT_MACS = 10_000_000
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _conv_rows(pat: np.ndarray, kmat: np.ndarray, threads: int) -> np.ndarray:
+    """einsum("ap,fa->fp"), the rows f split into `threads` contiguous
+    blocks (at most one per row), each computed on its own thread into
+    its own rows of one output array."""
+    co = kmat.shape[0]
+    threads = min(threads, co)
+    if threads <= 1:
+        return np.einsum("ap,fa->fp", pat, kmat)
+    out = np.empty((co, pat.shape[1]))
+    bounds = [co * i // threads for i in range(threads + 1)]
+    with ThreadPoolExecutor(threads) as pool:
+        futures = [pool.submit(np.einsum, "ap,fa->fp", pat, kmat[lo:hi], out=out[lo:hi])
+                   for lo, hi in zip(bounds, bounds[1:])]
+        for future in futures:
+            future.result()
+    return out
+
+
 def conv3d_forward(x, k) -> np.ndarray:
     """Same-padded 3D cross-correlation of a (C, D, H, W) volume.
 
@@ -103,7 +146,8 @@ def conv3d_forward(x, k) -> np.ndarray:
     pat = _padded_patches(x, *k.shape[2:])
     # einsum adds the patch rows one at a time in row order, the ascending
     # scalar order, which the tests pin bit-exactly; BLAS would not.
-    out = np.einsum("ap,fa->fp", pat, k.reshape(co, -1))
+    threads = _cpu_count() if co * pat.size > _SPLIT_MACS else 1
+    out = _conv_rows(pat, k.reshape(co, -1), threads)
     return out.reshape((co,) + x.shape[1:])
 
 

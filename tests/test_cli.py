@@ -77,6 +77,12 @@ class TestCost:
         assert main(["cost", "--stages", "64xx1"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stages,piece", [("abc", "'abc'"), ("64x1,,256", "''"),
+                                              ("64x1,256x1x2", "'256x1x2'")])
+    def test_invalid_stage_error_names_the_piece_and_form(self, capsys, stages, piece):
+        assert main(["cost", "--stages", stages]) == 1
+        assert_clean_failure(capsys, f"stage {piece} in {stages!r}", "CxB")
+
 
 class TestCheck:
     def test_reports_passes_and_exits_zero(self, capsys):

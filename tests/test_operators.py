@@ -415,6 +415,16 @@ class TestStateValidation:
             OperatorState(OperatorKind.A3D, (np.ones((2, 3, 1, 3, 3)),),
                           mix=np.ones((4, 4, 2)))
 
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    def test_with_named_rejects_unknown_names(self, kind):
+        """A misspelt name, or another kind's weight name, raises KeyError
+        instead of leaving the old weight in place."""
+        st = make_state(kind, SeededRng(342))
+        foreign = next(n for n in ("main", "aux", "mix") if n not in st.weight_arrays())
+        for name in ("mian", foreign):
+            with pytest.raises(KeyError, match=name):
+                st.with_named({name: np.ones((5, 4, 1, 3, 3))})
+
 
 WEIGHT_NAMES = {
     OperatorKind.NOFUSION: ("main",),

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from ctfuse import demo, tensor
+from ctfuse.operators import OperatorKind
 from ctfuse.rng import SeededRng
 from ctfuse.reference import naive_conv3d, naive_slice_contract
 from ctfuse.tensor import (
@@ -114,6 +116,87 @@ class TestConv3dForward:
     def test_bad_rank_rejected(self):
         with pytest.raises(ShapeError):
             conv3d_forward(np.ones((3, 3, 3)), np.ones((1, 1, 1, 3, 3)))
+
+
+class TestConv3dForwardThreads:
+    """Above tensor._SPLIT_MACS the forward runs output-channel blocks on
+    threads; its bits must not depend on how many."""
+
+    # (Cout, Cin, Kd, (D, H, W)): an uneven split (37 rows), fewer rows
+    # than threads, Kd of 1 and 3, and the default backbone's stage 1.
+    EDGE_SHAPES = [(37, 10, 3, (6, 14, 14)), (3, 128, 3, (7, 16, 16)),
+                   (2, 400, 1, (7, 16, 16)), (256, 64, 1, (7, 16, 16))]
+
+    @classmethod
+    def shapes(cls):
+        yield from cls.EDGE_SHAPES
+        rng = SeededRng(108)
+        found = 0
+        while found < 6:
+            co, ci = 1 + int(rng.uniform(0, 70)), 1 + int(rng.uniform(0, 40))
+            kd = (1, 3)[found % 2]
+            dhw = tuple(1 + int(rng.uniform(0, n)) for n in (7, 16, 16))
+            if co * ci * kd * 9 * int(np.prod(dhw)) > tensor._SPLIT_MACS:
+                found += 1
+                yield co, ci, kd, dhw
+
+    @staticmethod
+    def ascending_rows(pat, kmat):
+        acc = np.zeros((kmat.shape[0], pat.shape[1]))
+        for a in range(pat.shape[0]):
+            acc = acc + kmat[:, a, None] * pat[a]
+        return acc
+
+    def test_bits_do_not_depend_on_the_thread_count(self):
+        rng = SeededRng(109)
+        for trial, (co, ci, kd, dhw) in enumerate(self.shapes()):
+            r = rng.fork(trial)
+            x = r.uniform(-1, 1, (ci,) + dhw)
+            kmat = r.uniform(-1, 1, (co, ci, kd, 3, 3)).reshape(co, -1)
+            pat = tensor._padded_patches(x, kd, 3, 3)
+            assert co * pat.size > tensor._SPLIT_MACS
+            whole = np.einsum("ap,fa->fp", pat, kmat)
+            assert whole.tobytes() == self.ascending_rows(pat, kmat).tobytes()
+            for threads in (1, 2, 3, 5):
+                assert tensor._conv_rows(pat, kmat, threads).tobytes() == whole.tobytes()
+
+    def test_forward_splits_above_the_threshold(self, monkeypatch):
+        rng = SeededRng(110)
+        starts = []
+
+        class Counting(tensor.ThreadPoolExecutor):
+            def __init__(self, workers):
+                starts.append(workers)
+                super().__init__(workers)
+
+        monkeypatch.setattr(tensor, "ThreadPoolExecutor", Counting)
+        monkeypatch.setattr(tensor, "_cpu_count", lambda: 5)
+        for trial, (co, ci, kd, dhw) in enumerate(self.EDGE_SHAPES):
+            r = rng.fork(trial)
+            x = r.uniform(-1, 1, (ci,) + dhw)
+            k = r.uniform(-1, 1, (co, ci, kd, 3, 3))
+            whole = np.einsum("ap,fa->fp", tensor._padded_patches(x, kd, 3, 3),
+                              k.reshape(co, -1))
+            starts.clear()
+            assert conv3d_forward(x, k).tobytes() == whole.tobytes()
+            assert starts == [min(5, co)]
+
+    def test_worker_errors_reach_the_caller(self):
+        # 4 patch rows against 5 kernel columns: each block's einsum raises
+        with pytest.raises(ValueError):
+            tensor._conv_rows(np.ones((4, 6)), np.ones((3, 5)), 2)
+
+    def test_small_layers_start_no_threads(self, monkeypatch):
+        def no_threads(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(tensor, "ThreadPoolExecutor", no_threads)
+        rng = SeededRng(111)
+        # stage 0 of the default backbone: 4.1e6 multiply-adds
+        conv3d_forward(rng.uniform(-1, 1, (1, 7, 32, 32)), rng.uniform(-1, 1, (64, 1, 1, 3, 3)))
+        data = demo.generate_task(demo.SyntheticTaskConfig(volumes=8))
+        for kind in OperatorKind:
+            demo.train(data, demo.TrainConfig(fusion=kind, epochs=1))
 
 
 class TestConv3dBackward:
