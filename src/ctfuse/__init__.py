@@ -19,7 +19,6 @@ from .operators import (
     forward,
     inflate,
     load_operator,
-    parameter_count,
     save_operator,
 )
 from .rng import SeededRng
@@ -52,7 +51,6 @@ __all__ = [
     "identity_mix",
     "inflate",
     "load_operator",
-    "parameter_count",
     "read_manifest",
     "read_tensor",
     "save_operator",

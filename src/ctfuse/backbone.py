@@ -212,20 +212,31 @@ def _head_conv_adjoint(x, kernel, g):
     return (km.T @ gm).reshape(x.shape), (gm @ x.reshape(km.shape[1], -1).T).reshape(kernel.shape)
 
 
-def _check_input(config: BackboneConfig, x: np.ndarray) -> None:
+@dataclass
+class Tape:
+    """What one forward_features call computed: the backbone it ran and
+    every intermediate the adjoints need, for backward_features to read.
+    forward_features(bb, x, Tape()) fills it; another forward refills it."""
+
+    backbone: Backbone | None = None
+    trace: tuple | None = None
+
+
+def forward_features(bb: Backbone, x, tape: Tape | None = None) -> np.ndarray:
+    """Map a (1, D, H, W) volume to the rank-3 (Cfeat, H, W) feature map.
+
+    Given a tape, runs on a private copy of x and records on the tape per
+    fusion layer its input, pre-activation and operator inner tensor,
+    then each stage's output and the unified full-resolution sum.
+    """
+    x = as_volume(x)
+    config = bb.config
     want = (1, config.depth, config.height, config.width)
     if x.shape != want:
         raise ShapeError(f"backbone expects input shape {want}, got {x.shape}")
-
-
-def _forward_trace(bb: Backbone, x: np.ndarray):
-    """Run the network, keeping every intermediate the adjoints need:
-    per fusion layer its input, pre-activation and operator inner tensor,
-    then each stage's output and the unified full-resolution sum."""
-    config = bb.config
     layers = []
     stage_outputs = []
-    cur = x
+    cur = x if tape is None else x.copy()
     li = 0
     for s, (_, blocks) in enumerate(config.stages):
         if s > 0:
@@ -245,55 +256,24 @@ def _forward_trace(bb: Backbone, x: np.ndarray):
     for s in range(1, len(stage_outputs)):
         term = _head_conv(stage_outputs[s], bb.unify_kernels[s], 1)
         _blocks(summed, 2 ** s)[...] += term[:, :, :, None, :, None]
-    feat = _head_conv(summed, bb.collapse, 2)
-    return feat, (layers, stage_outputs, summed)
-
-
-@dataclass
-class Tape:
-    """What one forward_features call computed, for backward_features on
-    the same backbone and input to read instead of running the forward
-    again.  forward_features(bb, x, Tape()) fills it."""
-
-    backbone: Backbone | None = None
-    x: np.ndarray | None = None
-    trace: tuple | None = None
-
-
-def forward_features(bb: Backbone, x, tape: Tape | None = None) -> np.ndarray:
-    """Map a (1, D, H, W) volume to the rank-3 (Cfeat, H, W) feature map,
-    recording the intermediates on tape when one is given."""
-    x = as_volume(x)
-    _check_input(bb.config, x)
-    feat, trace = _forward_trace(bb, x)
     if tape is not None:
-        tape.backbone, tape.x, tape.trace = bb, x.copy(), trace
-    return feat
+        tape.backbone, tape.trace = bb, (layers, stage_outputs, summed)
+    return _head_conv(summed, bb.collapse, 2)
 
 
-def backward_features(bb: Backbone, x, grad_map, tape: Tape | None = None) -> dict[str, np.ndarray]:
-    """Exact adjoints for every weight given the feature-map gradient,
-    keyed and ordered as named_weights(bb).
-
-    Reads the forward's intermediates from the tape forward_features(bb,
-    x, tape) filled, or reruns the forward without one.  A tape filled
-    for another backbone or input raises ValueError.
-    """
-    x = as_volume(x)
-    _check_input(bb.config, x)
+def backward_features(tape: Tape, grad_map) -> dict[str, np.ndarray]:
+    """Exact adjoints for every weight of the backbone the tape's forward
+    ran, given the feature-map gradient, keyed and ordered as
+    named_weights(tape.backbone).  An unfilled tape raises ValueError."""
+    if tape.trace is None:
+        raise ValueError("tape holds no forward; fill it with forward_features(bb, x, tape)")
+    bb, (layers, stage_outputs, summed) = tape.backbone, tape.trace
     grad_map = np.ascontiguousarray(grad_map, dtype=np.float64)
     config = bb.config
     cf = config.feature_channels
     if grad_map.shape != (cf, config.height, config.width):
         raise ShapeError(f"grad_map must be {(cf, config.height, config.width)}, "
                          f"got {grad_map.shape}")
-    if tape is None:
-        _, trace = _forward_trace(bb, x)
-    elif tape.backbone is bb and np.array_equal(tape.x, x, equal_nan=True):
-        trace = tape.trace
-    else:
-        raise ValueError("tape holds no forward of this backbone on this input")
-    layers, stage_outputs, summed = trace
 
     grad_summed, grad_collapse = _head_conv_adjoint(summed, bb.collapse, grad_map)
     grad_stage, grad_unify = zip(*(

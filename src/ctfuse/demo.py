@@ -17,7 +17,7 @@ train/validation split, holds an exactly balanced mix of signs.
 """
 
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -149,8 +149,8 @@ DEMO_STAGES = ((8, 1), (16, 1))
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimization settings; the backbone defaults to a small two-stage
-    network sized to the task volumes."""
+    """Optimization settings; train fits a small two-stage backbone
+    (DEMO_STAGES) sized to the task volumes."""
 
     fusion: OperatorKind = OperatorKind.A3D
     epochs: int = 40
@@ -158,7 +158,6 @@ class TrainConfig:
     learning_rate: float = 0.2
     seed: int = 0
     val_fraction: float = 0.25
-    backbone: BackboneConfig | None = None
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -221,24 +220,11 @@ def _bce(z: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))))
 
 
-def _resolve_backbone(cfg: TrainConfig, data: TaskData) -> BackboneConfig:
-    task = data.config
-    base = cfg.backbone
-    if base is None:
-        base = BackboneConfig(depth=task.depth, stages=DEMO_STAGES,
-                              height=task.height, width=task.width)
-    if (base.depth, base.height, base.width) != (task.depth, task.height, task.width):
-        raise ValueError(f"backbone expects {(base.depth, base.height, base.width)} "
-                         f"volumes, task provides "
-                         f"{(task.depth, task.height, task.width)}")
-    return replace(base, fusion=cfg.fusion, seed=SeededRng(cfg.seed).fork(1).seed)
-
-
 def train(data: TaskData, cfg: TrainConfig) -> DemoMetrics:
     """Fit the model and report per-epoch loss and ranking quality.
 
     The last round(val_fraction * N) volumes are held out.  The model is
-    the configured backbone plus a per-pixel linear head on the feature
+    the DEMO_STAGES backbone plus a per-pixel linear head on the feature
     map; the loss is mean binary cross-entropy against the positive-blob
     footprint (distractor and background pixels count as negatives).
     """
@@ -248,13 +234,15 @@ def train(data: TaskData, cfg: TrainConfig) -> DemoMetrics:
         raise ValueError(f"val_fraction {cfg.val_fraction} leaves no usable "
                          f"split for {n} volumes")
     n_train = n - n_val
-    bb = build(_resolve_backbone(cfg, data))
+    task = data.config
     root = SeededRng(cfg.seed)
+    bb = build(BackboneConfig(depth=task.depth, stages=DEMO_STAGES, height=task.height,
+                              width=task.width, fusion=cfg.fusion, seed=root.fork(1).seed))
     cf = bb.config.feature_channels
     head_v = root.fork(2).uniform(-0.01, 0.01, (cf,))
     head_b = 0.0
     labels = data.masks.astype(np.float64)
-    n_pix = data.config.height * data.config.width
+    n_pix = task.height * task.width
 
     def logits_for(model, v, b, index, tape=None):
         feat = forward_features(model, data.volumes[index], tape)
@@ -277,7 +265,7 @@ def train(data: TaskData, cfg: TrainConfig) -> DemoMetrics:
                 total_v += np.einsum("chw,hw->c", feat, dz)
                 total_b += float(dz.sum())
                 dfeat = head_v[:, None, None] * dz[None]
-                grads = backward_features(bb, data.volumes[index], dfeat, tape)
+                grads = backward_features(tape, dfeat)
                 if total is None:
                     total = grads
                 else:

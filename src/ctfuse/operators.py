@@ -73,7 +73,7 @@ def acs_split(c_out: int) -> tuple[int, int, int]:
     at least one channel and the counts sum to c_out.
     """
     if c_out < 3:
-        raise ValueError(f"three-view split needs c_out >= 3, got {c_out}")
+        raise ShapeError(f"three-view split needs c_out >= 3, got {c_out}")
     a = -(-c_out // 3)
     c = -(-(c_out - a) // 2)
     s = c_out - a - c
@@ -82,15 +82,15 @@ def acs_split(c_out: int) -> tuple[int, int, int]:
 
 class Stage:
     """One linear stage.  name: the weight or OperatorState field holding
-    its parameters; shapes: its weights' shapes for c input channels
-    (splits: acs view channels, acs_split(c_out) when None); macs: its
-    forward multiply-accumulates; reach(k): slices one output slice reads
-    each way, None for all; forward(state, x) applies it; backward returns
-    the input gradient and puts the weight gradients in grads by name."""
+    its parameters; shapes: its weights' shapes for c input channels;
+    macs: its forward multiply-accumulates; reach(k): slices one output
+    slice reads each way, None for all; forward(state, x) applies it;
+    backward returns the input gradient and puts the weight gradients in
+    grads by name."""
 
     maps_channels = False
 
-    def shapes(self, c, c_out, k, depth, splits=None):
+    def shapes(self, c, c_out, k, depth):
         return {}
 
     def macs(self, shapes, depth, hw):
@@ -106,7 +106,7 @@ class Conv(Stage):
     spec: str
     maps_channels = True
 
-    def shapes(self, c, c_out, k, depth, splits=None):
+    def shapes(self, c, c_out, k, depth):
         return {self.name: (c_out, c) + tuple(k if ch == "k" else 1 for ch in self.spec)}
 
     def reach(self, k):
@@ -125,15 +125,15 @@ class Conv(Stage):
 
 @dataclass(frozen=True)
 class Concat(Stage):
-    """The views' convolutions (the state's kernels) stacked along the channels."""
+    """The views' convolutions (the state's kernels) stacked along the
+    channels, split over the views as acs_split gives."""
 
     views: tuple[Conv, ...]
-    name = "acs_splits"
+    name = "kernels"
     maps_channels = True
 
-    def shapes(self, c, c_out, k, depth, splits=None):
-        splits = acs_split(c_out) if splits is None else splits
-        return dict(item for view, n in zip(self.views, splits, strict=True)
+    def shapes(self, c, c_out, k, depth):
+        return dict(item for view, n in zip(self.views, acs_split(c_out))
                     for item in view.shapes(c, n, k, depth).items())
 
     def reach(self, k):
@@ -171,7 +171,7 @@ class Mix(Stage):
 
     name = "mix"
 
-    def shapes(self, c, c_out, k, depth, splits=None):
+    def shapes(self, c, c_out, k, depth):
         return {"mix": (depth, depth, c)}
 
     def macs(self, shapes, depth, hw):
@@ -201,13 +201,13 @@ STAGES = {
 }
 
 
-def stage_shapes(kind: OperatorKind, c_in: int, c_out: int, k: int, depth, splits=None):
+def stage_shapes(kind: OperatorKind, c_in: int, c_out: int, k: int, depth):
     """(stage, {weight name: shape}) for each of the kind's stages, in order."""
     if not isinstance(kind, OperatorKind):
         raise TypeError(f"kind must be an OperatorKind, got {kind!r}")
     c, out = c_in, []
     for stage in STAGES[kind]:
-        out.append((stage, stage.shapes(c, c_out, k, depth, splits)))
+        out.append((stage, stage.shapes(c, c_out, k, depth)))
         c = c_out if stage.maps_channels else c
     return out
 
@@ -217,11 +217,11 @@ class OperatorState:
     """Weights of one fusion operator.
 
     kernels holds the convolution weights: a single (Cout, Cin, Kd, K, K)
-    array for most kinds, or the three view kernels for acs.  aux is
-    p3d's (Cout, Cout, K, 1, 1) axial kernel, mix is a3d's (D, D, Cin)
-    slice-mixing stack, shift_splits is tsm's (up, down) channel split,
-    acs_splits the per-view channel counts.  depth_hint records the depth
-    the state was built for; only a3d enforces it.  Every shape must be
+    array for most kinds, or for acs the three view kernels, holding the
+    channels acs_split(Cout) gives each.  aux is p3d's (Cout, Cout, K, 1,
+    1) axial kernel, mix is a3d's (D, D, Cin) slice-mixing stack, and
+    shift_splits is tsm's (up, down) channel split.  depth_hint records
+    the depth the state was built for; only a3d enforces it.  Every shape must be
     the one stage_shapes gives the kind.  Treat instances as immutable:
     training code builds updated copies via `with_named`.
     """
@@ -231,7 +231,6 @@ class OperatorState:
     aux: np.ndarray | None = None
     mix: np.ndarray | None = None
     shift_splits: tuple[int, int] | None = None
-    acs_splits: tuple[int, int, int] | None = None
     depth_hint: int | None = None
     seed: int | None = None
 
@@ -243,17 +242,15 @@ class OperatorState:
         object.__setattr__(self, "kernels", kernels)
         if not kernels or any(k.ndim != 5 for k in kernels):
             raise ShapeError(f"kernels must be rank 5, got shapes {[k.shape for k in kernels]}")
-        needed = {stage.name for stage in STAGES[self.kind]}
-        for field in ("shift_splits", "acs_splits"):
-            if (getattr(self, field) is None) == (field in needed):
-                raise ShapeError(f"{name} {'requires' if field in needed else 'takes no'} {field}")
+        shifts = any(stage.name == "shift_splits" for stage in STAGES[self.kind])
+        if (self.shift_splits is None) == shifts:
+            raise ShapeError(f"{name} {'requires' if shifts else 'takes no'} shift_splits")
         for field in ("aux", "mix"):
             if (value := getattr(self, field)) is not None:
                 object.__setattr__(self, field, np.ascontiguousarray(value, dtype=np.float64))
         depth = self.mix.shape[0] if self.mix is not None and self.mix.ndim else self.depth_hint
-        want = dict(item for _, shapes in stage_shapes(self.kind, self.c_in, self.c_out, self.k,
-                                                       depth, self.acs_splits)
-                    for item in shapes.items())
+        want = dict(item for _, shapes in stage_shapes(self.kind, self.c_in, self.c_out,
+                                                       self.k, depth) for item in shapes.items())
         have = {n: arr.shape for n, arr in self.weight_arrays().items()}
         if (have != want or len(kernels) != sum(n in _KERNEL_NAMES for n in want)
                 or any(0 in shape for shape in have.values())):
@@ -334,9 +331,10 @@ def _as_kernel2d(w2d) -> np.ndarray:
     return arr
 
 
-def _acs_kernels_from_planes(planes: np.ndarray, splits: tuple[int, int, int]):
-    """Place channel-partitioned KxK planes into the three orientations."""
-    a, c, s = splits
+def _acs_kernels_from_planes(planes: np.ndarray):
+    """Place KxK planes, split over the views as acs_split gives, into the
+    three orientations."""
+    a, c, _ = acs_split(planes.shape[0])
     ka = planes[:a, :, None, :, :]
     kc = planes[a:a + c, :, :, None, :]
     ks = planes[a + c:, :, :, :, None]
@@ -368,9 +366,8 @@ def inflate(kind: OperatorKind, w2d, depth: int, rng: SeededRng | None = None, *
     co, ci, k, _ = w2d.shape
     needed = {stage.name for stage in STAGES[kind]}
     fields = {}
-    if "acs_splits" in needed:
-        fields["acs_splits"] = acs_split(co)
-        fields["kernels"] = _acs_kernels_from_planes(w2d.copy(), fields["acs_splits"])
+    if kind is OperatorKind.ACS:
+        fields["kernels"] = _acs_kernels_from_planes(w2d.copy())
     elif kind is OperatorKind.I3D:
         fields["kernels"] = (np.repeat((w2d / k)[:, :, None], k, axis=2),)
     else:
@@ -425,11 +422,6 @@ def backward(state: OperatorState, x, grad_out, inner=None) -> tuple[np.ndarray,
     return grad_x, OperatorGrads(*_split_named(grads))
 
 
-def parameter_count(state: OperatorState) -> int:
-    """Number of trainable scalars in the state."""
-    return int(sum(arr.size for arr in state.weight_arrays().values()))
-
-
 _MANIFEST_NAME = "operator.txt"
 _ACS_KEYS = ("acs_axial", "acs_coronal", "acs_sagittal")
 
@@ -454,8 +446,8 @@ def save_operator(state: OperatorState, dirpath) -> None:
         entries["depth"] = state.depth_hint
     if state.seed is not None:
         entries["seed"] = state.seed
-    if state.acs_splits is not None:
-        entries.update(zip(_ACS_KEYS, state.acs_splits))
+    if state.kind is OperatorKind.ACS:
+        entries.update(zip(_ACS_KEYS, acs_split(state.c_out)))
         # Dropping a view kernel's unit axis leaves its KxK plane.
         planes = [kern.reshape(kern.shape[:2] + (state.k, state.k)) for kern in state.kernels]
         ctf.write_tensor(path / "main.ctf", np.concatenate(planes, axis=0))
@@ -473,10 +465,11 @@ def save_operator(state: OperatorState, dirpath) -> None:
 def load_operator(dirpath) -> OperatorState:
     """Read back a directory written by save_operator.
 
-    The manifest's c_out, c_in, k and depth must agree with the loaded
-    tensors' shapes (depth only for a3d, whose mixing stack fixes it);
-    a disagreement raises ContainerError naming the manifest and key,
-    and a weight file holding a non-finite value one naming the file.
+    The manifest's c_out, c_in, k, depth and acs view channels must agree
+    with the loaded tensors' shapes (depth only for a3d, whose mixing
+    stack fixes it); a disagreement raises ContainerError naming the
+    manifest and key, and a weight file holding a non-finite value one
+    naming the file.
     """
     path = Path(dirpath)
     entries = ctf.read_manifest(path / _MANIFEST_NAME)
@@ -485,12 +478,11 @@ def load_operator(dirpath) -> OperatorState:
     main = ctf.read_weight(path / "main.ctf")
     fields = {"kernels": (main,), "seed": entries.parse("seed") if "seed" in entries else None,
               "depth_hint": entries.parse("depth") if "depth" in entries else None}
-    if "acs_splits" in needed:
+    if kind is OperatorKind.ACS:
         if main.ndim != 4:
             raise ctf.ContainerError(f"{path / 'main.ctf'}: acs planes must be rank 4 "
                                      f"(Cout, Cin, K, K), got shape {main.shape}")
-        fields["acs_splits"] = tuple(entries.parse(key) for key in _ACS_KEYS)
-        fields["kernels"] = _acs_kernels_from_planes(main, fields["acs_splits"])
+        fields["kernels"] = _acs_kernels_from_planes(main)
     if "shift_splits" in needed:
         fields["shift_splits"] = (entries.parse("shift_up"), entries.parse("shift_down"))
     if "aux" in needed:
@@ -501,6 +493,9 @@ def load_operator(dirpath) -> OperatorState:
     state = OperatorState(kind, **fields)
     for key in ("c_out", "c_in", "k"):
         entries.expect(key, getattr(state, key))
+    if kind is OperatorKind.ACS:
+        for key, channels in zip(_ACS_KEYS, acs_split(state.c_out)):
+            entries.expect(key, channels)
     if "depth" in entries:
         entries.expect("depth", state.depth_hint)
     return state

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backbone import (BackboneConfig, backward_features, build, forward_features, named_weights,
-                       with_named)
+from .backbone import (BackboneConfig, Tape, backward_features, build, forward_features,
+                       named_weights, with_named)
 from .operators import (
     ALL_KINDS,
     STAGES,
@@ -219,7 +219,9 @@ def _backbone_fd(rng: SeededRng, samples: int) -> tuple[float, int]:
     def loss(t):
         return float(np.sum(g * forward_features(with_named(bb, t), x)))
 
-    return finite_diff_check(loss, named_weights(bb), backward_features(bb, x, g), r.fork(5),
+    tape = Tape()
+    forward_features(bb, x, tape)
+    return finite_diff_check(loss, named_weights(bb), backward_features(tape, g), r.fork(5),
                              samples=samples)
 
 

@@ -10,7 +10,6 @@ training) rests on.
 
 import numpy as np
 
-_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
@@ -26,13 +25,6 @@ def _finalize(words: np.ndarray) -> np.ndarray:
     z *= _MIX2
     z ^= z >> np.uint64(31)
     return z
-
-
-def _finalize_int(word: int) -> int:
-    z = word & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    return z ^ (z >> 31)
 
 
 class SeededRng:
@@ -59,7 +51,8 @@ class SeededRng:
         """
         s = self._seed
         for t in tags:
-            s = _finalize_int(s + (int(t) + 1) * _GOLDEN)
+            word = (s + (int(t) + 1) * _GOLDEN) & 0xFFFFFFFFFFFFFFFF
+            s = int(_finalize(np.array([word], dtype=np.uint64))[0])
         return SeededRng(s)
 
     def _words(self, n: int) -> np.ndarray:

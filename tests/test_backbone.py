@@ -33,6 +33,13 @@ def rand_input(config, seed=5):
     return rng.uniform(-1, 1, (1, config.depth, config.height, config.width))
 
 
+def taped_backward(bb, x, g):
+    """backward_features from a tape that forward_features(bb, x) filled."""
+    tape = Tape()
+    forward_features(bb, x, tape)
+    return backward_features(tape, g)
+
+
 class TestConfig:
     def test_defaults_valid(self):
         c = BackboneConfig()
@@ -239,7 +246,7 @@ class TestBackward:
     def test_zero_grad_map(self):
         c = BackboneConfig(**TWO_STAGE)
         bb = build(c)
-        grads = backward_features(bb, rand_input(c), np.zeros((6, 8, 8)))
+        grads = taped_backward(bb, rand_input(c), np.zeros((6, 8, 8)))
         assert list(grads) == list(named_weights(bb))
         for name, g in grads.items():
             assert not g.any(), name
@@ -256,7 +263,7 @@ class TestBackward:
         def loss(b):
             return np.sum(g * forward_features(b, x))
 
-        grads = backward_features(bb, x, g)
+        grads = taped_backward(bb, x, g)
         step = 1e-5
         checked = 0
         assert list(grads) == ["layer0.main", "layer0.mix", "layer0.bias", "unify0", "collapse"]
@@ -280,7 +287,7 @@ class TestBackward:
         bb = build(c)
         bb.unify_kernels[1] = np.zeros_like(bb.unify_kernels[1])
         rng = SeededRng(601)
-        grads = backward_features(bb, rand_input(c), rng.uniform(-1, 1, (6, 8, 8)))
+        grads = taped_backward(bb, rand_input(c), rng.uniform(-1, 1, (6, 8, 8)))
         assert not any(g.any() for n, g in grads.items() if n.startswith("layer1."))
         assert any(g.any() for n, g in grads.items()
                    if n.startswith("layer0.") and n != "layer0.bias")
@@ -289,7 +296,7 @@ class TestBackward:
         c = BackboneConfig(**TINY)
         bb = build(c)
         with pytest.raises(ShapeError):
-            backward_features(bb, rand_input(c), np.zeros((4, 8, 7)))
+            taped_backward(bb, rand_input(c), np.zeros((4, 8, 7)))
 
 
 def grad_bytes(grads):
@@ -317,7 +324,7 @@ class TestNamedWeights:
     def test_gradients_have_the_same_names_and_shapes(self, kind):
         c = BackboneConfig(**TWO_STAGE, fusion=kind)
         bb = build(c)
-        grads = backward_features(bb, rand_input(c), SeededRng(630).uniform(-1, 1, (6, 8, 8)))
+        grads = taped_backward(bb, rand_input(c), SeededRng(630).uniform(-1, 1, (6, 8, 8)))
         assert [(n, g.shape) for n, g in grads.items()] == \
             [(n, a.shape) for n, a in named_weights(bb).items()]
 
@@ -342,34 +349,48 @@ class TestNamedWeights:
 class TestTape:
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
     def test_taped_backward_gives_the_same_bits(self, kind):
+        """Recording changes no forward bit, and backward leaves the tape
+        as it found it: a second read gives the bits of a fresh tape."""
         c = BackboneConfig(**TWO_STAGE, fusion=kind)
         bb = build(c)
         x = rand_input(c)
         g = SeededRng(610).uniform(-1, 1, (6, 8, 8))
         tape = Tape()
         assert forward_features(bb, x, tape).tobytes() == forward_features(bb, x).tobytes()
-        assert grad_bytes(backward_features(bb, x, g, tape)) == grad_bytes(
-            backward_features(bb, x, g))
+        first = grad_bytes(backward_features(tape, g))
+        assert first == grad_bytes(backward_features(tape, g))
+        assert first == grad_bytes(taped_backward(bb, x.copy(), g))
 
-    def test_tape_for_another_input_or_backbone_rejected(self):
-        c = BackboneConfig(**TINY)
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    def test_input_written_after_the_forward_does_not_reach_the_tape(self, kind):
+        c = BackboneConfig(**TWO_STAGE, fusion=kind)
         bb = build(c)
         x = rand_input(c)
-        g = np.zeros((4, 8, 8))
+        g = SeededRng(611).uniform(-1, 1, (6, 8, 8))
         tape = Tape()
         forward_features(bb, x, tape)
+        x[0, 1, 2, 3] += 1.0
+        x[0, 0] = 0.0
+        assert grad_bytes(backward_features(tape, g)) == grad_bytes(
+            taped_backward(bb, rand_input(c), g))
+
+    def test_unfilled_tape_rejected(self):
         with pytest.raises(ValueError, match="tape"):
-            backward_features(bb, rand_input(c, seed=6), g, tape)
-        with pytest.raises(ValueError, match="tape"):
-            backward_features(build(c), x, g, tape)
-        stepped = apply_sgd(bb, backward_features(bb, x, g, tape), 0.1)
-        with pytest.raises(ValueError, match="tape"):
-            backward_features(stepped, x, g, tape)
-        with pytest.raises(ValueError, match="tape"):
-            backward_features(bb, x, g, Tape())
-        x[0, 1, 2, 3] += 1.0  # the input changed in place after the forward
-        with pytest.raises(ValueError, match="tape"):
-            backward_features(bb, x, g, tape)
+            backward_features(Tape(), np.zeros((4, 8, 8)))
+
+    def test_refilled_tape_reads_the_second_forward(self):
+        c = BackboneConfig(**TWO_STAGE, fusion=OperatorKind.A3D)
+        bb = build(c)
+        x, x2 = rand_input(c), rand_input(c, seed=6)
+        g = SeededRng(612).uniform(-1, 1, (6, 8, 8))
+        tape = Tape()
+        forward_features(bb, x, tape)
+        stepped = apply_sgd(bb, backward_features(tape, g), 0.1)
+        forward_features(stepped, x2, tape)
+        assert tape.backbone is stepped
+        got = grad_bytes(backward_features(tape, g))
+        assert got == grad_bytes(taped_backward(stepped, x2, g))
+        assert got != grad_bytes(taped_backward(bb, x, g))
 
     @pytest.mark.parametrize("f", [1, 2, 4])
     def test_upsample_adjoint_is_the_block_sum(self, f):
@@ -396,7 +417,7 @@ class TestTraining:
         bb = build(c)
         rng = SeededRng(602)
         x = rand_input(c)
-        grads = backward_features(bb, x, rng.uniform(-1, 1, (4, 8, 8)))
+        grads = taped_backward(bb, x, rng.uniform(-1, 1, (4, 8, 8)))
         nb = apply_sgd(bb, grads, lr=0.1)
         assert not np.array_equal(nb.fusion_layers[0][0].kernels[0],
                                   bb.fusion_layers[0][0].kernels[0])
@@ -407,7 +428,7 @@ class TestTraining:
         c = BackboneConfig(**TINY)
         bb = build(c)
         rng = SeededRng(603)
-        grads = backward_features(bb, rand_input(c), rng.uniform(-1, 1, (4, 8, 8)))
+        grads = taped_backward(bb, rand_input(c), rng.uniform(-1, 1, (4, 8, 8)))
         nb = apply_sgd(bb, grads, lr=0.0)
         assert np.array_equal(nb.collapse, bb.collapse)
         assert np.array_equal(nb.fusion_layers[0][0].kernels[0],
@@ -431,7 +452,7 @@ class TestCheckpoint:
         bb = build(c)
         rng = SeededRng(604)
         x = rand_input(c)
-        grads = backward_features(bb, x, rng.uniform(-1, 1, (4, 8, 8)))
+        grads = taped_backward(bb, x, rng.uniform(-1, 1, (4, 8, 8)))
         bb = apply_sgd(bb, grads, 0.05)
         save_checkpoint(bb, tmp_path / "ck")
         back = load_checkpoint(tmp_path / "ck")

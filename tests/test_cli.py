@@ -270,9 +270,10 @@ class TestBadInputs:
                                     for ln in lines))
 
     @pytest.mark.parametrize("fusion,key,value", [
-        ("tsm", "c_out", "3"), ("tsm", "c_in", "1"), ("tsm", "k", "5"), ("a3d", "depth", "4")])
+        ("tsm", "c_out", "3"), ("tsm", "c_in", "1"), ("tsm", "k", "5"), ("a3d", "depth", "4"),
+        ("acs", "acs_axial", "2")])
     def test_operator_manifest_contradicts_tensors(self, tmp_path, capsys, fusion, key, value):
-        op_dir = self._operator(tmp_path, fusion)
+        op_dir = self._operator(tmp_path, fusion, c_out=3 if fusion == "acs" else 2)
         self._doctor(op_dir / "operator.txt", key, value)
         assert self._forward("--operator", op_dir, tmp_path) == 1
         assert_clean_failure(capsys, "operator.txt", f"{key}={value}")

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ctfuse import backbone
-from ctfuse.backbone import BackboneConfig
 from ctfuse.demo import (
     DEMO_STAGES,
     DemoMetrics,
@@ -194,12 +193,6 @@ class TestTrainConfig:
     def test_non_finite_learning_rate_rejected(self, bad):
         with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(learning_rate=bad)
-
-    def test_backbone_must_match_task_dims(self):
-        data = generate_task(SyntheticTaskConfig(volumes=8))
-        bad = BackboneConfig(depth=7, stages=((4, 1),), height=16, width=16)
-        with pytest.raises(ValueError, match="task provides"):
-            train(data, TrainConfig(epochs=1, backbone=bad))
 
     def test_split_must_leave_both_sides(self):
         data = generate_task(SyntheticTaskConfig(volumes=4))

@@ -13,7 +13,6 @@ from ctfuse.operators import (
     forward,
     inflate,
     load_operator,
-    parameter_count,
     p3d_aux_init,
     save_operator,
     stage_shapes,
@@ -94,7 +93,7 @@ class TestInflate:
         w2d = rng.uniform(-1, 1, (7, 2, 3, 3))
         st = inflate(OperatorKind.ACS, w2d, depth=5)
         ka, kc, ks = st.kernels
-        assert st.acs_splits == (3, 2, 2)
+        assert acs_split(st.c_out) == (3, 2, 2)
         assert ka.shape == (3, 2, 1, 3, 3)
         assert kc.shape == (2, 2, 3, 1, 3)
         assert ks.shape == (2, 2, 3, 3, 1)
@@ -172,7 +171,7 @@ class TestInflate:
         for kind in ALL_KINDS:
             st = make_state(kind, rng.fork(hash(kind.value) % 1000),
                             c_out=co, c_in=ci, k=k, depth=d)
-            assert parameter_count(st) == expected[kind], kind
+            assert sum(a.size for a in st.weight_arrays().values()) == expected[kind], kind
 
 
 class TestForward:
@@ -219,7 +218,7 @@ class TestForward:
         x = rng.uniform(-1, 1, (2, 4, 5, 5))
         out = forward(st, x)
         from ctfuse.tensor import conv3d_forward
-        a, c, s = st.acs_splits
+        a, c, s = acs_split(st.c_out)
         assert np.array_equal(out[:a], conv3d_forward(x, st.kernels[0]))
         assert np.array_equal(out[a:a + c], conv3d_forward(x, st.kernels[1]))
         assert np.array_equal(out[a + c:], conv3d_forward(x, st.kernels[2]))
@@ -343,7 +342,7 @@ class TestBackward:
         x = rng.uniform(-1, 1, (3, 4, 5, 5))
         g = rng.uniform(-1, 1, (7, 4, 5, 5))
         gx, grads = backward(st, x, g)
-        a, c, _ = st.acs_splits
+        a, c, _ = acs_split(st.c_out)
         pieces = (g[:a], g[a:a + c], g[a + c:])
         gx_sum = np.zeros_like(x)
         for kern, piece, got in zip(st.kernels, pieces, grads.kernels):
@@ -403,12 +402,16 @@ class TestStateValidation:
             OperatorState(OperatorKind.I3D, (np.ones((2, 2, 1, 3, 3)),))
 
     def test_acs_split_kernel_mismatch_rejected(self):
+        """View kernels split other than acs_split gives are rejected."""
         planes = np.ones((7, 2, 3, 3))
-        ka = planes[:3][:, :, None]
-        kc = planes[3:5][:, :, :, None]
-        ks = planes[5:][:, :, :, :, None]
-        with pytest.raises(ShapeError):
-            OperatorState(OperatorKind.ACS, (ka, kc, ks), acs_splits=(2, 3, 2))
+
+        def views(a, c):
+            return planes[:a][:, :, None], planes[a:a + c][:, :, :, None], \
+                planes[a + c:][:, :, :, :, None]
+        assert OperatorState(OperatorKind.ACS, views(3, 2)).c_out == 7
+        for a, c in ((2, 3), (2, 2), (3, 3), (5, 1)):
+            with pytest.raises(ShapeError):
+                OperatorState(OperatorKind.ACS, views(a, c))
 
     def test_mix_channel_mismatch_rejected(self):
         with pytest.raises(ShapeError):
@@ -500,6 +503,15 @@ class TestSerialization:
         for got, want in zip(back.kernels, st.kernels):
             assert got.shape == want.shape
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("planes", [1, 2])
+    def test_acs_with_too_few_planes_is_a_shape_error(self, tmp_path, planes):
+        save_operator(generic_state(OperatorKind.ACS, SeededRng(334), c_out=3, c_in=2),
+                      tmp_path / "op")
+        from ctfuse.ctf import write_tensor
+        write_tensor(tmp_path / "op" / "main.ctf", np.ones((planes, 2, 3, 3)))
+        with pytest.raises(ShapeError, match="c_out >= 3"):
+            load_operator(tmp_path / "op")
 
     def test_seed_recorded(self, tmp_path):
         st = inflate(OperatorKind.A3D, np.ones((3, 2, 3, 3)), 3, rng=SeededRng(77))

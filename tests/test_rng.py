@@ -84,6 +84,15 @@ class TestFork:
         y = root.fork(1).uniform(0, 1, (16,))
         assert not np.array_equal(x, y)
 
+    def test_fork_seeds_match_scalar_reference(self):
+        """fork chains one finalization of seed + (tag + 1) * golden per tag."""
+        for seed in (0, 1, 42, 1 << 63, (1 << 64) - 1):
+            for tags in ((0,), (5,), (-1,), (-7, 3), (1, 2, 3), (1 << 40,), (-(1 << 62), 0)):
+                want = seed
+                for t in tags:
+                    want = reference_word(want, t)
+                assert SeededRng(seed).fork(*tags).seed == want, (seed, tags)
+
     def test_nested_forks(self):
         r = SeededRng(2)
         assert np.array_equal(r.fork(1, 2).uniform(0, 1, (4,)),
