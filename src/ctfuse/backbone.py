@@ -55,7 +55,6 @@ class BackboneConfig:
     height: int = 32
     width: int = 32
     a3d_perturb: float = 0.1
-    tsm_div: int = 8
 
     def __post_init__(self):
         if not isinstance(self.fusion, OperatorKind):
@@ -78,8 +77,6 @@ class BackboneConfig:
                              f"got {self.height}x{self.width}")
         if not np.isfinite(self.a3d_perturb) or self.a3d_perturb < 0:
             raise ValueError(f"a3d_perturb must be finite and >= 0, got {self.a3d_perturb}")
-        if self.tsm_div < 1:
-            raise ValueError(f"tsm_div must be >= 1, got {self.tsm_div}")
 
     @property
     def pool_factor(self) -> int:
@@ -122,10 +119,14 @@ def named_weights(bb: Backbone) -> dict[str, np.ndarray]:
 
 def with_named(bb: Backbone, named: dict[str, np.ndarray]) -> Backbone:
     """Copy of bb with the weights named in `named` swapped out; a name
-    named_weights does not give raises KeyError."""
+    named_weights does not give raises KeyError, and an array of another
+    shape than the one it replaces ShapeError."""
     new = named_weights(bb)
     if unknown := named.keys() - new.keys():
         raise KeyError(f"no backbone weights named {sorted(unknown)}")
+    if wrong := [f"{n} {np.shape(a)} for {new[n].shape}" for n, a in named.items()
+                 if np.shape(a) != new[n].shape]:
+        raise ShapeError(f"backbone weights must keep their shapes: {', '.join(wrong)}")
     new.update(named)
     fusion = [(state.with_named({n: new[f"layer{i}.{n}"] for n in state.weight_arrays()}),
                new[f"layer{i}.bias"]) for i, (state, _) in enumerate(bb.fusion_layers)]
@@ -172,7 +173,7 @@ def build(config: BackboneConfig) -> Backbone:
             w2d = _he_uniform(root.fork(1, s, b), (channels, c_prev, k, k),
                               fan_in=c_prev * k * k)
             state = inflate(config.fusion, w2d, config.depth, rng=root.fork(2, s, b),
-                            perturb_scale=config.a3d_perturb, tsm_div=config.tsm_div)
+                            perturb_scale=config.a3d_perturb)
             fusion_layers.append((state, np.zeros(channels)))
             c_prev = channels
     cf = config.feature_channels
@@ -226,8 +227,8 @@ def forward_features(bb: Backbone, x, tape: Tape | None = None) -> np.ndarray:
     """Map a (1, D, H, W) volume to the rank-3 (Cfeat, H, W) feature map.
 
     Given a tape, runs on a private copy of x and records on the tape per
-    fusion layer its input, pre-activation and operator inner tensor,
-    then each stage's output and the unified full-resolution sum.
+    fusion layer its input, ReLU output and operator inner tensor, then
+    each stage's output and the unified full-resolution sum.
     """
     x = as_volume(x)
     config = bb.config
@@ -244,9 +245,9 @@ def forward_features(bb: Backbone, x, tape: Tape | None = None) -> np.ndarray:
         for _ in range(blocks):
             state, bias = bb.fusion_layers[li]
             y, inner = op_forward(state, cur, return_inner=True)
-            z = y + bias[:, None, None, None]
-            layers.append((cur, z, inner))
-            cur = np.maximum(z, 0.0)
+            out = np.maximum(y + bias[:, None, None, None], 0.0)
+            layers.append((cur, out, inner))
+            cur = out
             li += 1
         stage_outputs.append(cur)
     # A 1x1x1 convolution commutes with nearest-neighbour upsampling, so
@@ -288,8 +289,8 @@ def backward_features(tape: Tape, grad_map) -> dict[str, np.ndarray]:
         for _ in range(config.stages[s][1]):
             li -= 1
             state, _ = bb.fusion_layers[li]
-            layer_in, pre, inner = layers[li]
-            grad_z = carry * (pre > 0)
+            layer_in, out, inner = layers[li]
+            grad_z = carry * (out > 0)  # z > 0 exactly: ReLU keeps z's NaNs
             grad_in, opg = op_backward(state, layer_in, grad_z, inner)
             grad_fusion[li] = (opg, grad_z.sum(axis=(1, 2, 3)))
             carry = grad_in
@@ -324,21 +325,19 @@ def parse_stages(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+# backbone.txt: (config field, parse, format) in file order, for both
+# save_checkpoint and load_checkpoint.
+_CONFIG_KEYS = (("depth", int, str), ("stages", parse_stages, _stages_str),
+                ("fusion", OperatorKind.from_name, lambda kind: kind.value), ("seed", int, str),
+                ("height", int, str), ("width", int, str), ("a3d_perturb", float, repr))
+
+
 def save_checkpoint(bb: Backbone, dirpath) -> None:
     """Write the config manifest and every weight tensor under a directory."""
     path = Path(dirpath)
     path.mkdir(parents=True, exist_ok=True)
-    c = bb.config
-    ctf.write_manifest(path / _MANIFEST_NAME, {
-        "depth": c.depth,
-        "stages": _stages_str(c.stages),
-        "fusion": c.fusion.value,
-        "seed": c.seed,
-        "height": c.height,
-        "width": c.width,
-        "a3d_perturb": repr(c.a3d_perturb),
-        "tsm_div": c.tsm_div,
-    })
+    ctf.write_manifest(path / _MANIFEST_NAME, {key: fmt(getattr(bb.config, key))
+                                               for key, _, fmt in _CONFIG_KEYS})
     for i, (state, bias) in enumerate(bb.fusion_layers):
         save_operator(state, path / f"layer{i}")
         ctf.write_tensor(path / f"layer{i}_bias.ctf", bias)
@@ -350,16 +349,15 @@ def save_checkpoint(bb: Backbone, dirpath) -> None:
 def load_checkpoint(dirpath) -> Backbone:
     """Read back a directory written by save_checkpoint.
 
-    Every tensor must have the kind and shape the manifest implies and
-    hold only finite values; a disagreement, a non-finite weight, or a
-    value that makes no valid config, raises ContainerError naming the
-    manifest or the tensor file.
+    Every tensor must have the kind and shape the manifest implies (each
+    layer its channels, kernel extent and, for a3d, depth) and hold only
+    finite values; a disagreement, a non-finite weight, or a value that
+    makes no valid config, raises ContainerError naming the manifest or
+    the tensor file.  Keys other than the config fields are ignored.
     """
     path = Path(dirpath)
     m = ctf.read_manifest(path / _MANIFEST_NAME)
-    fields = {key: m.parse(key, convert) for key, convert in (
-        ("depth", int), ("stages", parse_stages), ("fusion", OperatorKind.from_name), ("seed", int),
-        ("height", int), ("width", int), ("a3d_perturb", float), ("tsm_div", int))}
+    fields = {key: m.parse(key, parse) for key, parse, _ in _CONFIG_KEYS}
     try:
         config = BackboneConfig(**fields)
     except ValueError as exc:
@@ -371,10 +369,14 @@ def load_checkpoint(dirpath) -> Backbone:
         if state.kind is not config.fusion:
             raise ctf.ContainerError(f"{m.path}: fusion={m['fusion']}, but layer{i} holds "
                                      f"a {state.kind.value} operator")
-        if (state.c_in, state.c_out) != (dims.c_in, dims.c_out):
+        if (state.c_in, state.c_out, state.k) != (dims.c_in, dims.c_out, dims.k):
             raise ctf.ContainerError(
                 f"{m.path}: stages={m['stages']} gives layer{i} {dims.c_in} -> {dims.c_out} "
-                f"channels, but it holds {state.c_in} -> {state.c_out}")
+                f"channels at k={dims.k}, but it holds {state.c_in} -> {state.c_out} "
+                f"at k={state.k}")
+        if state.depth not in (None, config.depth):
+            raise ctf.ContainerError(f"{m.path}: depth={config.depth}, but layer{i} mixes "
+                                     f"{state.depth} slices")
         fusion_layers.append((state, ctf.read_weight(path / f"layer{i}_bias.ctf", (dims.c_out,))))
     cf = config.feature_channels
     unify = [ctf.read_weight(path / f"unify{s}.ctf", (cf, c, 1, 1, 1))

@@ -137,7 +137,7 @@ def _cmd_demo(args) -> int:
 
 
 def _cmd_inflate(args) -> int:
-    w2d = ctf.read_tensor(Path(args.kernel))
+    w2d = ctf.read_weight(Path(args.kernel))
     kind = OperatorKind.from_name(args.fusion)
     state = inflate(kind, w2d, args.depth, rng=SeededRng(args.seed))
     save_operator(state, Path(args.out))

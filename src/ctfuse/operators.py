@@ -220,10 +220,10 @@ class OperatorState:
     array for most kinds, or for acs the three view kernels, holding the
     channels acs_split(Cout) gives each.  aux is p3d's (Cout, Cout, K, 1,
     1) axial kernel, mix is a3d's (D, D, Cin) slice-mixing stack, and
-    shift_splits is tsm's (up, down) channel split.  depth_hint records
-    the depth the state was built for; only a3d enforces it.  Every shape must be
-    the one stage_shapes gives the kind.  Treat instances as immutable:
-    training code builds updated copies via `with_named`.
+    shift_splits is tsm's (up, down) channel split.  Every shape must be
+    the one stage_shapes gives the kind, for a3d at the depth its mixing
+    stack fixes.  Treat instances as immutable: training code builds
+    updated copies via `with_named`.
     """
 
     kind: OperatorKind
@@ -231,8 +231,6 @@ class OperatorState:
     aux: np.ndarray | None = None
     mix: np.ndarray | None = None
     shift_splits: tuple[int, int] | None = None
-    depth_hint: int | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         if not isinstance(self.kind, OperatorKind):
@@ -248,18 +246,13 @@ class OperatorState:
         for field in ("aux", "mix"):
             if (value := getattr(self, field)) is not None:
                 object.__setattr__(self, field, np.ascontiguousarray(value, dtype=np.float64))
-        depth = self.mix.shape[0] if self.mix is not None and self.mix.ndim else self.depth_hint
         want = dict(item for _, shapes in stage_shapes(self.kind, self.c_in, self.c_out,
-                                                       self.k, depth) for item in shapes.items())
+                                                       self.k, self.depth)
+                    for item in shapes.items())
         have = {n: arr.shape for n, arr in self.weight_arrays().items()}
         if (have != want or len(kernels) != sum(n in _KERNEL_NAMES for n in want)
                 or any(0 in shape for shape in have.values())):
             raise ShapeError(f"{name} weights must be {want}, got {have} ({len(kernels)} kernels)")
-
-        if self.mix is not None:
-            if self.depth_hint is not None and self.depth_hint != depth:
-                raise ShapeError(f"depth_hint {self.depth_hint} contradicts mix depth {depth}")
-            object.__setattr__(self, "depth_hint", depth)
         if self.shift_splits is not None:
             up, down = (int(s) for s in self.shift_splits)
             object.__setattr__(self, "shift_splits", (up, down))
@@ -278,6 +271,11 @@ class OperatorState:
     @property
     def k(self) -> int:
         return self.kernels[0].shape[3]
+
+    @property
+    def depth(self) -> int | None:
+        """The slice count a3d's mixing stack fixes; None for kinds without a mix."""
+        return self.mix.shape[0] if self.mix is not None and self.mix.ndim else None
 
     def weight_arrays(self) -> dict[str, np.ndarray]:
         """Name -> array for every trainable tensor, in a fixed order."""
@@ -384,8 +382,7 @@ def inflate(kind: OperatorKind, w2d, depth: int, rng: SeededRng | None = None, *
         fields["mix"] = identity = identity_mix(depth, ci)
         if perturb_scale != 0.0:
             fields["mix"] = identity + rng.uniform(-perturb_scale, perturb_scale, identity.shape)
-    return OperatorState(kind, depth_hint=depth, seed=rng.seed if rng is not None else None,
-                         **fields)
+    return OperatorState(kind, **fields)
 
 
 def forward(state: OperatorState, x, return_inner: bool = False):
@@ -423,7 +420,21 @@ def backward(state: OperatorState, x, grad_out, inner=None) -> tuple[np.ndarray,
 
 
 _MANIFEST_NAME = "operator.txt"
-_ACS_KEYS = ("acs_axial", "acs_coronal", "acs_sagittal")
+
+
+def _manifest_facts(state: OperatorState) -> dict[str, int]:
+    """What the manifest records of a state's tensors, after its kind and
+    in file order: save_operator writes these and load_operator checks
+    them.  depth is a3d's alone, the acs_* view channels acs's and the
+    shifts tsm's."""
+    facts = {"c_out": state.c_out, "c_in": state.c_in, "k": state.k}
+    if state.depth is not None:
+        facts["depth"] = state.depth
+    if state.kind is OperatorKind.ACS:
+        facts.update(zip(("acs_axial", "acs_coronal", "acs_sagittal"), acs_split(state.c_out)))
+    if state.shift_splits is not None:
+        facts["shift_up"], facts["shift_down"] = state.shift_splits
+    return facts
 
 
 def save_operator(state: OperatorState, dirpath) -> None:
@@ -436,48 +447,33 @@ def save_operator(state: OperatorState, dirpath) -> None:
     """
     path = Path(dirpath)
     path.mkdir(parents=True, exist_ok=True)
-    entries: dict[str, object] = {
-        "kind": state.kind.value,
-        "c_out": state.c_out,
-        "c_in": state.c_in,
-        "k": state.k,
-    }
-    if state.depth_hint is not None:
-        entries["depth"] = state.depth_hint
-    if state.seed is not None:
-        entries["seed"] = state.seed
     if state.kind is OperatorKind.ACS:
-        entries.update(zip(_ACS_KEYS, acs_split(state.c_out)))
         # Dropping a view kernel's unit axis leaves its KxK plane.
         planes = [kern.reshape(kern.shape[:2] + (state.k, state.k)) for kern in state.kernels]
         ctf.write_tensor(path / "main.ctf", np.concatenate(planes, axis=0))
     else:
         ctf.write_tensor(path / "main.ctf", state.kernels[0])
-    if state.shift_splits is not None:
-        entries["shift_up"], entries["shift_down"] = state.shift_splits
     if state.aux is not None:
         ctf.write_tensor(path / "aux.ctf", state.aux)
     if state.mix is not None:
         ctf.write_tensor(path / "p.ctf", state.mix)
-    ctf.write_manifest(path / _MANIFEST_NAME, entries)
+    ctf.write_manifest(path / _MANIFEST_NAME, {"kind": state.kind.value, **_manifest_facts(state)})
 
 
 def load_operator(dirpath) -> OperatorState:
     """Read back a directory written by save_operator.
 
-    The manifest's c_out, c_in, k, depth and acs view channels must agree
-    with the loaded tensors' shapes (depth only for a3d, whose mixing
-    stack fixes it); a disagreement raises ContainerError naming the
+    Every fact the manifest records (_manifest_facts) must agree with the
+    loaded tensors; a disagreement raises ContainerError naming the
     manifest and key, and a weight file holding a non-finite value one
-    naming the file.
+    naming the file.  Other keys are ignored.
     """
     path = Path(dirpath)
     entries = ctf.read_manifest(path / _MANIFEST_NAME)
     kind = entries.parse("kind", OperatorKind.from_name)
     needed = {stage.name for stage in STAGES[kind]}
     main = ctf.read_weight(path / "main.ctf")
-    fields = {"kernels": (main,), "seed": entries.parse("seed") if "seed" in entries else None,
-              "depth_hint": entries.parse("depth") if "depth" in entries else None}
+    fields = {"kernels": (main,)}
     if kind is OperatorKind.ACS:
         if main.ndim != 4:
             raise ctf.ContainerError(f"{path / 'main.ctf'}: acs planes must be rank 4 "
@@ -488,14 +484,8 @@ def load_operator(dirpath) -> OperatorState:
     if "aux" in needed:
         fields["aux"] = ctf.read_weight(path / "aux.ctf")
     if "mix" in needed:
-        # The mixing stack fixes the depth; the manifest's is checked below.
-        fields["mix"], fields["depth_hint"] = ctf.read_weight(path / "p.ctf"), None
+        fields["mix"] = ctf.read_weight(path / "p.ctf")
     state = OperatorState(kind, **fields)
-    for key in ("c_out", "c_in", "k"):
-        entries.expect(key, getattr(state, key))
-    if kind is OperatorKind.ACS:
-        for key, channels in zip(_ACS_KEYS, acs_split(state.c_out)):
-            entries.expect(key, channels)
-    if "depth" in entries:
-        entries.expect("depth", state.depth_hint)
+    for key, value in _manifest_facts(state).items():
+        entries.expect(key, value)
     return state

@@ -216,7 +216,7 @@ class TestAxialSensitivity:
     @staticmethod
     def _probe(kind, nudge_weights):
         c = BackboneConfig(depth=5, stages=((8, 1), (8, 1)), height=8, width=8,
-                           seed=21, fusion=kind, tsm_div=4)
+                           seed=21, fusion=kind)
         bb = build(c)
         for f in range(8):
             taps = np.zeros(5)
@@ -336,6 +336,17 @@ class TestNamedWeights:
         again = with_named(bb, named_weights(bb))
         assert forward_features(again, x).tobytes() == forward_features(bb, x).tobytes()
 
+    def test_with_named_rejects_another_shape(self):
+        """Every swapped array of another shape than the one it replaces is
+        named; a same-shaped swap beside them changes nothing."""
+        bb = build(BackboneConfig(**TWO_STAGE))
+        wrong = {"unify0": np.ones((6, 4)), "collapse": np.ones((6, 18)),
+                 "layer0.bias": np.ones(5)}
+        with pytest.raises(ShapeError) as excinfo:
+            with_named(bb, {**wrong, "layer1.bias": np.ones(6)})
+        assert all(name in str(excinfo.value) for name in wrong)
+        assert "layer1.bias" not in str(excinfo.value)
+
     def test_with_named_swaps_only_the_named_weights(self):
         bb = build(BackboneConfig(**TWO_STAGE, fusion=OperatorKind.ACS))
         coronal = np.ones_like(named_weights(bb)["layer1.coronal"])
@@ -446,6 +457,30 @@ class TestCheckpoint:
             assert back.config == c
             x = rand_input(c)
             assert forward_features(back, x).tobytes() == forward_features(bb, x).tobytes()
+
+    def test_manifest_keys_pinned(self, tmp_path):
+        save_checkpoint(build(BackboneConfig(**TINY)), tmp_path / "ck")
+        lines = (tmp_path / "ck" / "backbone.txt").read_text().splitlines()
+        assert [ln.partition("=")[0] for ln in lines] == \
+            ["depth", "stages", "fusion", "seed", "height", "width", "a3d_perturb"]
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    def test_older_layout_loads_to_the_same_weights(self, tmp_path, kind):
+        """The older layout also held tsm_div= in backbone.txt, and seed=
+        and, for every kind, depth= in each layer's operator.txt; loading
+        ignores them where they carry no fact."""
+        bb = build(BackboneConfig(**TWO_STAGE, fusion=kind))
+        save_checkpoint(bb, tmp_path / "ck")
+        with open(tmp_path / "ck" / "backbone.txt", "a") as fh:
+            fh.write("tsm_div=8\n")
+        for i in range(len(bb.fusion_layers)):
+            manifest = tmp_path / "ck" / f"layer{i}" / "operator.txt"
+            older = "" if kind is OperatorKind.A3D else f"depth={bb.config.depth}\n"
+            manifest.write_text(manifest.read_text() + older + f"seed={1000 + i}\n")
+        back = load_checkpoint(tmp_path / "ck")
+        assert back.config == bb.config
+        assert {n: a.tobytes() for n, a in named_weights(back).items()} == \
+            {n: a.tobytes() for n, a in named_weights(bb).items()}
 
     def test_round_trip_after_training_step(self, tmp_path):
         c = BackboneConfig(**TINY, fusion=OperatorKind.P3D)

@@ -6,7 +6,7 @@ import pytest
 from ctfuse import cli, ctf
 from ctfuse.backbone import BackboneConfig, build, forward_features, save_checkpoint
 from ctfuse.cli import main
-from ctfuse.operators import OperatorKind, forward, load_operator
+from ctfuse.operators import OperatorKind, forward, inflate, load_operator, save_operator
 from ctfuse.rng import SeededRng
 
 
@@ -287,15 +287,34 @@ class TestBadInputs:
 
     def test_operator_manifest_non_integer(self, tmp_path, capsys):
         op_dir = self._operator(tmp_path)
-        self._doctor(op_dir / "operator.txt", "depth", "four")
+        self._doctor(op_dir / "operator.txt", "k", "four")
         assert self._forward("--operator", op_dir, tmp_path) == 1
-        assert_clean_failure(capsys, "operator.txt", "depth='four'")
+        assert_clean_failure(capsys, "operator.txt", "k='four'")
 
     def test_backbone_manifest_non_integer(self, tmp_path, capsys):
         ckpt = self._checkpoint(tmp_path)
         self._doctor(ckpt / "backbone.txt", "height", "nan")
         assert self._forward("--backbone", ckpt, tmp_path) == 1
         assert_clean_failure(capsys, "backbone.txt", "height='nan'")
+
+    @pytest.mark.parametrize("depth,k,fragment", [(5, 3, "depth=3"), (3, 5, "k=5")])
+    def test_checkpoint_layer_contradicts_config(self, tmp_path, capsys, depth, k, fragment):
+        """A layer mixing another number of slices, or of another kernel
+        extent, than the config gives is named with backbone.txt."""
+        ckpt = self._checkpoint(tmp_path)
+        save_operator(inflate(OperatorKind.A3D, np.ones((4, 1, k, k)), depth, perturb_scale=0.0),
+                      ckpt / "layer0")
+        assert self._forward("--backbone", ckpt, tmp_path) == 1
+        assert_clean_failure(capsys, "backbone.txt", "layer0", fragment)
+
+    def test_non_finite_kernel_is_not_inflated(self, tmp_path, capsys):
+        w2d = np.ones((2, 2, 3, 3))
+        w2d[1, 0, 2, 1] = np.nan
+        ctf.write_tensor(tmp_path / "w.ctf", w2d)
+        assert main(["inflate", "--kernel", str(tmp_path / "w.ctf"), "--fusion", "nofusion",
+                     "--depth", "3", "--out", str(tmp_path / "op")]) == 1
+        assert_clean_failure(capsys, "w.ctf", "non-finite")
+        assert not (tmp_path / "op").exists()
 
     def test_acs_planes_of_the_wrong_rank(self, tmp_path, capsys):
         op_dir = self._operator(tmp_path, "acs", c_out=3)

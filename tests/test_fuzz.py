@@ -8,7 +8,8 @@ Loading and running each one must fail with ContainerError or
 ShapeError, never IndexError, KeyError or struct.error, and `ctfuse
 forward` on a sample of them must exit 1 without a traceback.  A NaN or
 an infinity written into any weight file must fail to load with
-ContainerError naming the file.
+ContainerError naming the file.  Each source's list of keys to damage
+must equal its saved manifest's keys, so the fuzz follows the formats.
 """
 
 import re
@@ -29,7 +30,7 @@ SEED = 20260
 CASES = 160
 CLI_EVERY = 8
 NON_INTEGERS = ("nan", "four", "1.5", "", "1e3", "0x10")
-OPERATOR_KEYS = {"nofusion": (), "i3d": (), "p3d": (), "a3d": (),
+OPERATOR_KEYS = {"nofusion": (), "i3d": (), "p3d": (), "a3d": ("depth",),
                  "tsm": ("shift_up", "shift_down"),
                  "acs": ("acs_axial", "acs_coronal", "acs_sagittal")}
 
@@ -50,6 +51,7 @@ def _sources(root):
         save_operator(state, path)
         ctf.write_tensor(root / f"vol_{kind.value}.ctf", r.fork(i, 2).uniform(-1, 1, (3, 4, 5, 5)))
         keys = ("kind", "c_out", "c_in", "k") + OPERATOR_KEYS[kind.value]
+        assert tuple(ctf.read_manifest(path / "operator.txt")) == keys
         tensor_keys = ("c_out", "c_in", "k") + (("depth",) if kind.value == "a3d" else ())
         sources.append(("--operator", path, root / f"vol_{kind.value}.ctf", keys, tensor_keys))
     for kind in ALL_KINDS:
@@ -58,7 +60,8 @@ def _sources(root):
                                 fusion=kind, seed=3)
         save_checkpoint(build(config), path)
         ctf.write_tensor(root / f"vol_bb_{kind.value}.ctf", r.fork(9).uniform(-1, 1, (1, 3, 8, 8)))
-        keys = ("depth", "stages", "fusion", "seed", "height", "width", "a3d_perturb", "tsm_div")
+        keys = ("depth", "stages", "fusion", "seed", "height", "width", "a3d_perturb")
+        assert tuple(ctf.read_manifest(path / "backbone.txt")) == keys
         sources.append(("--backbone", path, root / f"vol_bb_{kind.value}.ctf", keys,
                         ("depth", "stages", "fusion")))
     return sources

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ctfuse import operators as operators_module
+from ctfuse.ctf import ContainerError
 from ctfuse.operators import (
     ALL_KINDS,
     OperatorKind,
@@ -513,8 +514,41 @@ class TestSerialization:
         with pytest.raises(ShapeError, match="c_out >= 3"):
             load_operator(tmp_path / "op")
 
-    def test_seed_recorded(self, tmp_path):
-        st = inflate(OperatorKind.A3D, np.ones((3, 2, 3, 3)), 3, rng=SeededRng(77))
-        assert st.seed == 77
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    def test_manifest_keys_pinned(self, tmp_path, kind):
+        save_operator(make_state(kind, SeededRng(335), c_out=7, c_in=16), tmp_path / "op")
+        lines = (tmp_path / "op" / "operator.txt").read_text().splitlines()
+        assert [ln.partition("=")[0] for ln in lines] == \
+            ["kind", "c_out", "c_in", "k", *MANIFEST_EXTRA_KEYS[kind]]
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    def test_older_layout_loads_to_the_same_weights(self, tmp_path, kind):
+        """The older layout also held seed= and, for every kind, depth=;
+        loading ignores both where they carry no fact."""
+        st = generic_state(kind, SeededRng(336), c_out=7, c_in=16, depth=5)
         save_operator(st, tmp_path / "op")
-        assert load_operator(tmp_path / "op").seed == 77
+        manifest = tmp_path / "op" / "operator.txt"
+        older = "" if kind is OperatorKind.A3D else "depth=5\n"
+        manifest.write_text(manifest.read_text() + older + "seed=336\n")
+        back = load_operator(tmp_path / "op")
+        assert back.kind is kind and back.shift_splits == st.shift_splits
+        assert {n: a.tobytes() for n, a in back.weight_arrays().items()} == \
+            {n: a.tobytes() for n, a in st.weight_arrays().items()}
+
+    def test_a3d_manifest_requires_depth(self, tmp_path):
+        save_operator(make_state(OperatorKind.A3D, SeededRng(337)), tmp_path / "op")
+        manifest = tmp_path / "op" / "operator.txt"
+        lines = manifest.read_text().splitlines(keepends=True)
+        manifest.write_text("".join(ln for ln in lines if not ln.startswith("depth=")))
+        with pytest.raises(ContainerError, match="missing key 'depth'"):
+            load_operator(tmp_path / "op")
+
+
+MANIFEST_EXTRA_KEYS = {
+    OperatorKind.NOFUSION: (),
+    OperatorKind.I3D: (),
+    OperatorKind.P3D: (),
+    OperatorKind.ACS: ("acs_axial", "acs_coronal", "acs_sagittal"),
+    OperatorKind.TSM: ("shift_up", "shift_down"),
+    OperatorKind.A3D: ("depth",),
+}
