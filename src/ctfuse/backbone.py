@@ -32,7 +32,7 @@ from .operators import (
     save_operator,
 )
 from .rng import SeededRng
-from .tensor import ShapeError, as_volume
+from .tensor import ShapeError, as_int, as_volume
 
 KERNEL_SIZE = 3
 
@@ -46,6 +46,8 @@ class BackboneConfig:
     the between-stage pooling stays exact.  a3d_perturb is the half
     width of the a3d mixing perturbation at init (0 disables it, giving
     a backbone that computes exactly what the no-fusion one does).
+    depth, height, width, seed and each stage's channels and blocks are
+    stored as int; a value that is not an integer raises ValueError.
     """
 
     depth: int = 7
@@ -59,7 +61,10 @@ class BackboneConfig:
     def __post_init__(self):
         if not isinstance(self.fusion, OperatorKind):
             raise TypeError(f"fusion must be an OperatorKind, got {self.fusion!r}")
-        stages = tuple((int(c), int(b)) for c, b in self.stages)
+        for name in ("depth", "height", "width", "seed"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
+        stages = tuple((as_int(c, f"stages[{i}] channels"), as_int(b, f"stages[{i}] blocks"))
+                       for i, (c, b) in enumerate(self.stages))
         object.__setattr__(self, "stages", stages)
         if len(stages) < 1:
             raise ValueError("at least one stage is required")
@@ -228,7 +233,9 @@ def forward_features(bb: Backbone, x, tape: Tape | None = None) -> np.ndarray:
 
     Given a tape, runs on a private copy of x and records on the tape per
     fusion layer its input, ReLU output and operator inner tensor, then
-    each stage's output and the unified full-resolution sum.
+    each stage's output and the unified full-resolution sum.  Without a
+    tape it records nothing: of the layers, only each stage's output is
+    kept, for the head.
     """
     x = as_volume(x)
     config = bb.config
@@ -246,7 +253,8 @@ def forward_features(bb: Backbone, x, tape: Tape | None = None) -> np.ndarray:
             state, bias = bb.fusion_layers[li]
             y, inner = op_forward(state, cur, return_inner=True)
             out = np.maximum(y + bias[:, None, None, None], 0.0)
-            layers.append((cur, out, inner))
+            if tape is not None:
+                layers.append((cur, out, inner))
             cur = out
             li += 1
         stage_outputs.append(cur)

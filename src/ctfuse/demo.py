@@ -31,6 +31,7 @@ from .backbone import (
 )
 from .operators import OperatorKind
 from .rng import SeededRng
+from .tensor import as_int
 
 
 class TrainingDiverged(RuntimeError):
@@ -43,7 +44,9 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class SyntheticTaskConfig:
-    """Shape and intensity knobs for the generated volumes."""
+    """Shape and intensity knobs for the generated volumes.  volumes,
+    depth, height, width and seed are stored as int; a value that is not
+    an integer raises ValueError."""
 
     volumes: int = 80
     depth: int = 5
@@ -55,6 +58,8 @@ class SyntheticTaskConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("volumes", "depth", "height", "width", "seed"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
         if self.volumes < 2:
             raise ValueError(f"need at least 2 volumes, got {self.volumes}")
         if self.depth < 3:
@@ -150,7 +155,8 @@ DEMO_STAGES = ((8, 1), (16, 1))
 @dataclass(frozen=True)
 class TrainConfig:
     """Optimization settings; train fits a small two-stage backbone
-    (DEMO_STAGES) sized to the task volumes."""
+    (DEMO_STAGES) sized to the task volumes.  epochs, batch_size and seed
+    are stored as int; a value that is not an integer raises ValueError."""
 
     fusion: OperatorKind = OperatorKind.A3D
     epochs: int = 40
@@ -160,6 +166,8 @@ class TrainConfig:
     val_fraction: float = 0.25
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size", "seed"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:

@@ -22,9 +22,11 @@ weight files).
 """
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -81,12 +83,12 @@ def acs_split(c_out: int) -> tuple[int, int, int]:
 
 
 class Stage:
-    """One linear stage.  name: the weight or OperatorState field holding
-    its parameters; shapes: its weights' shapes for c input channels;
-    macs: its forward multiply-accumulates; reach(k): slices one output
-    slice reads each way, None for all; forward(state, x) applies it;
-    backward returns the input gradient and puts the weight gradients in
-    grads by name."""
+    """One linear stage.  name: its weight's name in OperatorState.weights
+    (Shift: the shift_splits field; Concat: None, its views name theirs);
+    shapes: its weights' shapes by name for c input channels; macs: its
+    forward multiply-accumulates; reach(k): slices one output slice reads
+    each way, None for all; forward(state, x) applies it; backward returns
+    the input gradient and puts the weight gradients in grads by name."""
 
     maps_channels = False
 
@@ -99,8 +101,8 @@ class Stage:
 
 @dataclass(frozen=True)
 class Conv(Stage):
-    """Same-padded convolution to Cout channels by kernel `name` ("main": kernels[0], else
-    the state field of that name), of extent spec in K ("1kk" is 1xKxK)."""
+    """Same-padded convolution to Cout channels by the weight `name`, of
+    extent spec in K ("1kk" is 1xKxK)."""
 
     name: str
     spec: str
@@ -112,24 +114,21 @@ class Conv(Stage):
     def reach(self, k):
         return k // 2 if self.spec[0] == "k" else 0
 
-    def _kernel(self, state):
-        return state.kernels[0] if self.name == "main" else getattr(state, self.name)
-
     def forward(self, state, x):
-        return conv3d_forward(x, self._kernel(state))
+        return conv3d_forward(x, state.weights[self.name])
 
     def backward(self, state, x, g, grads):
-        grad_x, grads[self.name] = conv3d_backward(x, self._kernel(state), g)
+        grad_x, grads[self.name] = conv3d_backward(x, state.weights[self.name], g)
         return grad_x
 
 
 @dataclass(frozen=True)
 class Concat(Stage):
-    """The views' convolutions (the state's kernels) stacked along the
-    channels, split over the views as acs_split gives."""
+    """The view stages' outputs stacked along the channels, split over
+    the views as acs_split gives."""
 
     views: tuple[Conv, ...]
-    name = "kernels"
+    name = None
     maps_channels = True
 
     def shapes(self, c, c_out, k, depth):
@@ -140,14 +139,13 @@ class Concat(Stage):
         return max(view.reach(k) for view in self.views)
 
     def forward(self, state, x):
-        return np.concatenate([conv3d_forward(x, kern) for kern in state.kernels], axis=0)
+        return np.concatenate([view.forward(state, x) for view in self.views], axis=0)
 
     def backward(self, state, x, g, grads):
         grad_x = np.zeros_like(x)
-        pieces = np.split(g, np.cumsum([kern.shape[0] for kern in state.kernels])[:-1])
-        for view, kern, piece in zip(self.views, state.kernels, pieces):
-            gx, grads[view.name] = conv3d_backward(x, kern, piece)
-            grad_x += gx
+        pieces = np.split(g, np.cumsum(acs_split(state.c_out))[:-1])
+        for view, piece in zip(self.views, pieces):
+            grad_x += view.backward(state, x, piece, grads)
         return grad_x
 
 
@@ -181,10 +179,10 @@ class Mix(Stage):
         return None
 
     def forward(self, state, x):
-        return slice_contract_forward(x, state.mix)
+        return slice_contract_forward(x, state.weights[self.name])
 
     def backward(self, state, x, g, grads):
-        grad_x, grads[self.name] = slice_contract_backward(x, state.mix, g)
+        grad_x, grads[self.name] = slice_contract_backward(x, state.weights[self.name], g)
         return grad_x
 
 
@@ -216,49 +214,55 @@ def stage_shapes(kind: OperatorKind, c_in: int, c_out: int, k: int, depth):
 class OperatorState:
     """Weights of one fusion operator.
 
-    kernels holds the convolution weights: a single (Cout, Cin, Kd, K, K)
-    array for most kinds, or for acs the three view kernels, holding the
-    channels acs_split(Cout) gives each.  aux is p3d's (Cout, Cout, K, 1,
-    1) axial kernel, mix is a3d's (D, D, Cin) slice-mixing stack, and
-    shift_splits is tsm's (up, down) channel split.  Every shape must be
-    the one stage_shapes gives the kind, for a3d at the depth its mixing
-    stack fixes.  Treat instances as immutable: training code builds
-    updated copies via `with_named`.
+    weights maps each weight name to its array, read-only and in the
+    order main (or acs's axial, coronal, sagittal views), aux, mix,
+    whatever order the caller passes.  The kind's stages fix the names
+    and shapes (stage_shapes, for a3d at the depth its mixing stack
+    spans); others raise ShapeError.  shift_splits is tsm's (up, down)
+    channel split.  kernels, aux and mix are read-only views of weights.
+    Treat instances as immutable: training code builds updated copies
+    via `with_named`.
     """
 
     kind: OperatorKind
-    kernels: tuple[np.ndarray, ...]
-    aux: np.ndarray | None = None
-    mix: np.ndarray | None = None
+    weights: Mapping[str, np.ndarray]
     shift_splits: tuple[int, int] | None = None
 
     def __post_init__(self):
         if not isinstance(self.kind, OperatorKind):
             raise TypeError(f"kind must be an OperatorKind, got {self.kind!r}")
         name = self.kind.value
-        kernels = tuple(np.ascontiguousarray(k, dtype=np.float64) for k in self.kernels)
-        object.__setattr__(self, "kernels", kernels)
+        if unknown := self.weights.keys() - _WEIGHT_NAMES:
+            raise ShapeError(f"{name} has no weights named {sorted(map(str, unknown))}")
+        object.__setattr__(self, "weights", MappingProxyType({
+            n: np.ascontiguousarray(self.weights[n], dtype=np.float64)
+            for n in _WEIGHT_NAMES if n in self.weights}))
+        kernels = self.kernels
         if not kernels or any(k.ndim != 5 for k in kernels):
             raise ShapeError(f"kernels must be rank 5, got shapes {[k.shape for k in kernels]}")
         shifts = any(stage.name == "shift_splits" for stage in STAGES[self.kind])
         if (self.shift_splits is None) == shifts:
             raise ShapeError(f"{name} {'requires' if shifts else 'takes no'} shift_splits")
-        for field in ("aux", "mix"):
-            if (value := getattr(self, field)) is not None:
-                object.__setattr__(self, field, np.ascontiguousarray(value, dtype=np.float64))
         want = dict(item for _, shapes in stage_shapes(self.kind, self.c_in, self.c_out,
                                                        self.k, self.depth)
                     for item in shapes.items())
-        have = {n: arr.shape for n, arr in self.weight_arrays().items()}
-        if (have != want or len(kernels) != sum(n in _KERNEL_NAMES for n in want)
-                or any(0 in shape for shape in have.values())):
-            raise ShapeError(f"{name} weights must be {want}, got {have} ({len(kernels)} kernels)")
+        have = {n: arr.shape for n, arr in self.weights.items()}
+        if have != want or any(0 in shape for shape in have.values()):
+            raise ShapeError(f"{name} weights must be {want}, got {have}")
         if self.shift_splits is not None:
             up, down = (int(s) for s in self.shift_splits)
             object.__setattr__(self, "shift_splits", (up, down))
             if up < 0 or down < 0 or up + down > self.c_in:
                 raise ShapeError(f"shift_splits {self.shift_splits} invalid for "
                                  f"{self.c_in} input channels")
+
+    @property
+    def kernels(self) -> tuple[np.ndarray, ...]:
+        """The convolution kernels, main or the acs views, in output-channel order."""
+        return tuple(self.weights[n] for n in _KERNEL_NAMES if n in self.weights)
+
+    aux = property(lambda self: self.weights.get("aux"), doc="p3d's axial kernel, else None")
+    mix = property(lambda self: self.weights.get("mix"), doc="a3d's mixing stack, else None")
 
     @property
     def c_out(self) -> int:
@@ -278,17 +282,15 @@ class OperatorState:
         return self.mix.shape[0] if self.mix is not None and self.mix.ndim else None
 
     def weight_arrays(self) -> dict[str, np.ndarray]:
-        """Name -> array for every trainable tensor, in a fixed order."""
-        return _named_weights(self.kernels, self.aux, self.mix)
+        """Name -> array for every trainable tensor, in weights' order."""
+        return dict(self.weights)
 
     def with_named(self, named: dict[str, np.ndarray]) -> "OperatorState":
         """Copy of this state with the weights named in `named` swapped out;
-        a name weight_arrays does not give raises KeyError."""
-        own = self.weight_arrays()
-        if unknown := named.keys() - own.keys():
+        a name weights does not hold raises KeyError."""
+        if unknown := named.keys() - self.weights.keys():
             raise KeyError(f"no {self.kind.value} weights named {sorted(unknown)}")
-        kernels, aux, mix = _split_named({**own, **named})
-        return replace(self, kernels=kernels, aux=aux, mix=mix)
+        return replace(self, weights={**self.weights, **named})
 
 
 @dataclass(frozen=True)
@@ -304,6 +306,7 @@ class OperatorGrads:
 
 
 _KERNEL_NAMES = ("main", "axial", "coronal", "sagittal")
+_WEIGHT_NAMES = _KERNEL_NAMES + ("aux", "mix")
 
 
 def _named_weights(kernels, aux, mix) -> dict[str, np.ndarray]:
@@ -329,14 +332,12 @@ def _as_kernel2d(w2d) -> np.ndarray:
     return arr
 
 
-def _acs_kernels_from_planes(planes: np.ndarray):
+def _acs_kernels_from_planes(planes: np.ndarray) -> dict[str, np.ndarray]:
     """Place KxK planes, split over the views as acs_split gives, into the
-    three orientations."""
+    three orientations, by view name."""
     a, c, _ = acs_split(planes.shape[0])
-    ka = planes[:a, :, None, :, :]
-    kc = planes[a:a + c, :, :, None, :]
-    ks = planes[a + c:, :, :, :, None]
-    return (np.ascontiguousarray(ka), np.ascontiguousarray(kc), np.ascontiguousarray(ks))
+    return {"axial": planes[:a, :, None, :, :], "coronal": planes[a:a + c, :, :, None, :],
+            "sagittal": planes[a + c:, :, :, :, None]}
 
 
 def p3d_aux_init(c_out: int, k: int) -> np.ndarray:
@@ -361,28 +362,28 @@ def inflate(kind: OperatorKind, w2d, depth: int, rng: SeededRng | None = None, *
     w2d = _as_kernel2d(w2d)
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
+    if tsm_div < 1:
+        raise ValueError(f"tsm_div must be >= 1, got {tsm_div}")
+    if not np.isfinite(perturb_scale) or perturb_scale < 0:
+        raise ValueError(f"perturb_scale must be finite and >= 0, got {perturb_scale}")
     co, ci, k, _ = w2d.shape
     needed = {stage.name for stage in STAGES[kind]}
-    fields = {}
     if kind is OperatorKind.ACS:
-        fields["kernels"] = _acs_kernels_from_planes(w2d.copy())
+        weights = _acs_kernels_from_planes(w2d.copy())
     elif kind is OperatorKind.I3D:
-        fields["kernels"] = (np.repeat((w2d / k)[:, :, None], k, axis=2),)
+        weights = {"main": np.repeat((w2d / k)[:, :, None], k, axis=2)}
     else:
-        fields["kernels"] = (w2d[:, :, None].copy(),)
+        weights = {"main": w2d[:, :, None].copy()}
     if "aux" in needed:
-        fields["aux"] = p3d_aux_init(co, k)
-    if "shift_splits" in needed:
-        if tsm_div < 1:
-            raise ValueError(f"tsm_div must be >= 1, got {tsm_div}")
-        fields["shift_splits"] = (ci // tsm_div, ci // tsm_div)
+        weights["aux"] = p3d_aux_init(co, k)
+    shift_splits = (ci // tsm_div, ci // tsm_div) if "shift_splits" in needed else None
     if "mix" in needed:
         if perturb_scale != 0.0 and rng is None:
             raise ValueError("a3d with a nonzero perturbation needs an rng")
-        fields["mix"] = identity = identity_mix(depth, ci)
+        weights["mix"] = identity = identity_mix(depth, ci)
         if perturb_scale != 0.0:
-            fields["mix"] = identity + rng.uniform(-perturb_scale, perturb_scale, identity.shape)
-    return OperatorState(kind, **fields)
+            weights["mix"] = identity + rng.uniform(-perturb_scale, perturb_scale, identity.shape)
+    return OperatorState(kind, weights, shift_splits)
 
 
 def forward(state: OperatorState, x, return_inner: bool = False):
@@ -420,6 +421,7 @@ def backward(state: OperatorState, x, grad_out, inner=None) -> tuple[np.ndarray,
 
 
 _MANIFEST_NAME = "operator.txt"
+_EXTRA_FILES = (("aux", "aux.ctf"), ("mix", "p.ctf"))
 
 
 def _manifest_facts(state: OperatorState) -> dict[str, int]:
@@ -453,10 +455,9 @@ def save_operator(state: OperatorState, dirpath) -> None:
         ctf.write_tensor(path / "main.ctf", np.concatenate(planes, axis=0))
     else:
         ctf.write_tensor(path / "main.ctf", state.kernels[0])
-    if state.aux is not None:
-        ctf.write_tensor(path / "aux.ctf", state.aux)
-    if state.mix is not None:
-        ctf.write_tensor(path / "p.ctf", state.mix)
+    for name, file in _EXTRA_FILES:
+        if name in state.weights:
+            ctf.write_tensor(path / file, state.weights[name])
     ctf.write_manifest(path / _MANIFEST_NAME, {"kind": state.kind.value, **_manifest_facts(state)})
 
 
@@ -473,19 +474,17 @@ def load_operator(dirpath) -> OperatorState:
     kind = entries.parse("kind", OperatorKind.from_name)
     needed = {stage.name for stage in STAGES[kind]}
     main = ctf.read_weight(path / "main.ctf")
-    fields = {"kernels": (main,)}
+    weights = {"main": main}
     if kind is OperatorKind.ACS:
         if main.ndim != 4:
             raise ctf.ContainerError(f"{path / 'main.ctf'}: acs planes must be rank 4 "
                                      f"(Cout, Cin, K, K), got shape {main.shape}")
-        fields["kernels"] = _acs_kernels_from_planes(main)
-    if "shift_splits" in needed:
-        fields["shift_splits"] = (entries.parse("shift_up"), entries.parse("shift_down"))
-    if "aux" in needed:
-        fields["aux"] = ctf.read_weight(path / "aux.ctf")
-    if "mix" in needed:
-        fields["mix"] = ctf.read_weight(path / "p.ctf")
-    state = OperatorState(kind, **fields)
+        weights = _acs_kernels_from_planes(main)
+    shift_splits = ((entries.parse("shift_up"), entries.parse("shift_down"))
+                    if "shift_splits" in needed else None)
+    weights.update((name, ctf.read_weight(path / file)) for name, file in _EXTRA_FILES
+                   if name in needed)
+    state = OperatorState(kind, weights, shift_splits)
     for key, value in _manifest_facts(state).items():
         entries.expect(key, value)
     return state

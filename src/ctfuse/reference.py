@@ -87,25 +87,25 @@ def naive_axial_shift(x, splits):
 def naive_operator_forward(state: OperatorState, x):
     """Compose the naive pieces per kind.  Returns (out, macs)."""
     x = np.asarray(x, dtype=np.float64)
-    kind = state.kind
+    kind, w = state.kind, state.weights
     if kind in (OperatorKind.NOFUSION, OperatorKind.I3D):
-        return naive_conv3d(x, state.kernels[0])
+        return naive_conv3d(x, w["main"])
     if kind is OperatorKind.P3D:
-        mid, m1 = naive_conv3d(x, state.kernels[0])
-        out, m2 = naive_conv3d(mid, state.aux)
+        mid, m1 = naive_conv3d(x, w["main"])
+        out, m2 = naive_conv3d(mid, w["aux"])
         return out, m1 + m2
     if kind is OperatorKind.ACS:
         parts = []
         macs = 0
-        for kern in state.kernels:
-            part, m = naive_conv3d(x, kern)
+        for view in ("axial", "coronal", "sagittal"):
+            part, m = naive_conv3d(x, w[view])
             parts.append(part)
             macs += m
         return np.concatenate(parts, axis=0), macs
     if kind is OperatorKind.TSM:
-        return naive_conv3d(naive_axial_shift(x, state.shift_splits), state.kernels[0])
+        return naive_conv3d(naive_axial_shift(x, state.shift_splits), w["main"])
     if kind is OperatorKind.A3D:
-        mixed, m1 = naive_slice_contract(x, state.mix)
-        out, m2 = naive_conv3d(mixed, state.kernels[0])
+        mixed, m1 = naive_slice_contract(x, w["mix"])
+        out, m2 = naive_conv3d(mixed, w["main"])
         return out, m1 + m2
     raise ValueError(f"unhandled kind {kind!r}")

@@ -55,6 +55,14 @@ def as_volume(x, name: str = "x") -> np.ndarray:
     return arr
 
 
+def as_int(value, name: str) -> int:
+    """Validate and return a Python or numpy integer (not a bool) as int;
+    anything else raises ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def as_kernel5(k, name: str = "kernel") -> np.ndarray:
     """Validate and return a (Cout, Cin, Kd, Kh, Kw) float64 array."""
     arr = np.ascontiguousarray(k, dtype=np.float64)

@@ -1,8 +1,12 @@
 """Backbone construction, forward/backward, and checkpoint tests."""
 
+import re
+import weakref
+
 import numpy as np
 import pytest
 
+from ctfuse import backbone as backbone_module
 from ctfuse.backbone import (
     KERNEL_SIZE,
     BackboneConfig,
@@ -66,6 +70,26 @@ class TestConfig:
     def test_bad_a3d_perturb_rejected(self, bad):
         with pytest.raises(ValueError, match="a3d_perturb"):
             BackboneConfig(a3d_perturb=bad)
+
+    @pytest.mark.parametrize("name,make,good", [
+        ("depth", lambda v: {"depth": v}, 3),
+        ("height", lambda v: {"height": v}, 8),
+        ("width", lambda v: {"width": v}, 8),
+        ("seed", lambda v: {"seed": v}, 11),
+        ("stages[0] channels", lambda v: {"stages": ((v, 1),)}, 4),
+        ("stages[1] blocks", lambda v: {"stages": ((4, 1), (4, v))}, 2),
+    ], ids=["depth", "height", "width", "seed", "channels", "blocks"])
+    def test_integer_fields(self, name, make, good):
+        """A numpy integer is stored as int; a float, string or bool raises
+        ValueError naming the field instead of being truncated or failing
+        later."""
+        ok = BackboneConfig(**{**TINY, **make(np.int64(good))})
+        assert all(type(v) is int for v in (ok.depth, ok.height, ok.width, ok.seed,
+                                            *(n for stage in ok.stages for n in stage)))
+        assert len(layer_dims(ok)) == sum(b for _, b in ok.stages)
+        for bad in (float(good), good + 0.5, float("nan"), str(good), True):
+            with pytest.raises(ValueError, match=re.escape(name)):
+                BackboneConfig(**{**TINY, **make(bad)})
 
     def test_parse_stages(self):
         assert parse_stages("64x1,256x2") == ((64, 1), (256, 2))
@@ -384,6 +408,26 @@ class TestTape:
         x[0, 0] = 0.0
         assert grad_bytes(backward_features(tape, g)) == grad_bytes(
             taped_backward(bb, rand_input(c), g))
+
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_untaped_forward_keeps_no_layer_records(self, taped, monkeypatch):
+        """Without a tape, layer 0's inner tensor is freed before layer 2
+        runs; a tape keeps it for the backward."""
+        c = BackboneConfig(depth=3, stages=((4, 3),), height=8, width=8, seed=13,
+                           fusion=OperatorKind.A3D)
+        bb = build(c)
+        real, refs, alive = backbone_module.op_forward, [], []
+
+        def spy(state, x, return_inner=False):
+            if len(refs) == 2:
+                alive.append(refs[0]() is not None)
+            y, inner = real(state, x, return_inner)
+            refs.append(weakref.ref(inner))
+            return y, inner
+
+        monkeypatch.setattr(backbone_module, "op_forward", spy)
+        forward_features(bb, rand_input(c), Tape() if taped else None)
+        assert alive == [taped]
 
     def test_unfilled_tape_rejected(self):
         with pytest.raises(ValueError, match="tape"):

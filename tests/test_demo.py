@@ -31,6 +31,16 @@ def volume_sign(data: TaskData, i: int) -> float:
 
 
 class TestTaskGeneration:
+    @pytest.mark.parametrize("field", ["volumes", "depth", "height", "width", "seed"])
+    def test_integer_fields(self, field):
+        """A numpy integer is stored as int; a float, string or bool raises
+        ValueError naming the field."""
+        good = getattr(SyntheticTaskConfig(), field)
+        assert type(getattr(SyntheticTaskConfig(**{field: np.int64(good)}), field)) is int
+        for bad in (float(good), good + 0.5, float("nan"), str(good), True):
+            with pytest.raises(ValueError, match=field):
+                SyntheticTaskConfig(**{field: bad})
+
     def test_shapes_and_key_slice(self):
         cfg = SyntheticTaskConfig(volumes=6, depth=7, height=20, width=24)
         data = generate_task(cfg)
@@ -179,6 +189,16 @@ class TestRocAuc:
 
 
 class TestTrainConfig:
+    @pytest.mark.parametrize("field", ["epochs", "batch_size", "seed"])
+    def test_integer_fields(self, field):
+        """A numpy integer is stored as int; a float, string or bool raises
+        ValueError naming the field."""
+        good = getattr(TrainConfig(), field) + 1
+        assert type(getattr(TrainConfig(**{field: np.int64(good)}), field)) is int
+        for bad in (float(good), good + 0.5, float("nan"), str(good), True):
+            with pytest.raises(ValueError, match=field):
+                TrainConfig(**{field: bad})
+
     def test_validation(self):
         with pytest.raises(ValueError, match="epochs"):
             TrainConfig(epochs=0)

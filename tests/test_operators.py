@@ -136,6 +136,12 @@ class TestInflate:
         st = inflate(OperatorKind.A3D, np.ones((3, 2, 3, 3)), depth=4, perturb_scale=0.0)
         assert np.array_equal(st.mix, identity_mix(4, 2))
 
+    @pytest.mark.parametrize("rng", [None, SeededRng(306)], ids=["no-rng", "rng"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.5])
+    def test_bad_perturb_scale_rejected(self, bad, rng):
+        with pytest.raises(ValueError, match="perturb_scale"):
+            inflate(OperatorKind.A3D, np.ones((3, 2, 3, 3)), depth=4, rng=rng, perturb_scale=bad)
+
     def test_a3d_without_rng_rejected(self):
         with pytest.raises(ValueError):
             inflate(OperatorKind.A3D, np.ones((3, 2, 3, 3)), depth=3)
@@ -391,24 +397,24 @@ class TestBackward:
 class TestStateValidation:
     def test_missing_aux_rejected(self):
         with pytest.raises(ShapeError):
-            OperatorState(OperatorKind.P3D, (np.ones((2, 2, 1, 3, 3)),))
+            OperatorState(OperatorKind.P3D, {"main": np.ones((2, 2, 1, 3, 3))})
 
     def test_foreign_field_rejected(self):
         with pytest.raises(ShapeError):
-            OperatorState(OperatorKind.NOFUSION, (np.ones((2, 2, 1, 3, 3)),),
-                          mix=np.ones((3, 3, 2)))
+            OperatorState(OperatorKind.NOFUSION, {"main": np.ones((2, 2, 1, 3, 3)),
+                                                  "mix": np.ones((3, 3, 2))})
 
     def test_i3d_depth_extent_enforced(self):
         with pytest.raises(ShapeError):
-            OperatorState(OperatorKind.I3D, (np.ones((2, 2, 1, 3, 3)),))
+            OperatorState(OperatorKind.I3D, {"main": np.ones((2, 2, 1, 3, 3))})
 
     def test_acs_split_kernel_mismatch_rejected(self):
         """View kernels split other than acs_split gives are rejected."""
         planes = np.ones((7, 2, 3, 3))
 
         def views(a, c):
-            return planes[:a][:, :, None], planes[a:a + c][:, :, :, None], \
-                planes[a + c:][:, :, :, :, None]
+            return {"axial": planes[:a][:, :, None], "coronal": planes[a:a + c][:, :, :, None],
+                    "sagittal": planes[a + c:][:, :, :, :, None]}
         assert OperatorState(OperatorKind.ACS, views(3, 2)).c_out == 7
         for a, c in ((2, 3), (2, 2), (3, 3), (5, 1)):
             with pytest.raises(ShapeError):
@@ -416,8 +422,35 @@ class TestStateValidation:
 
     def test_mix_channel_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            OperatorState(OperatorKind.A3D, (np.ones((2, 3, 1, 3, 3)),),
-                          mix=np.ones((4, 4, 2)))
+            OperatorState(OperatorKind.A3D, {"main": np.ones((2, 3, 1, 3, 3)),
+                                             "mix": np.ones((4, 4, 2))})
+
+    def test_unknown_weight_name_rejected(self):
+        with pytest.raises(ShapeError, match="mian"):
+            OperatorState(OperatorKind.NOFUSION, {"mian": np.ones((2, 2, 1, 3, 3))})
+
+    def test_weights_kept_in_canonical_order(self):
+        st = OperatorState(OperatorKind.A3D, {"mix": np.ones((4, 4, 3)),
+                                              "main": np.ones((2, 3, 1, 3, 3))})
+        assert list(st.weights) == ["main", "mix"]
+
+    def test_weights_mapping_is_read_only(self):
+        st = make_state(OperatorKind.A3D, SeededRng(343))
+        with pytest.raises(TypeError):
+            st.weights["mix"] = np.ones((4, 4, 4))
+        with pytest.raises(TypeError):
+            st.weights["aux"] = np.ones((5, 5, 3, 1, 1))
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    def test_views_return_the_stored_arrays(self, kind):
+        """kernels (main or the acs views, in output-channel order), aux and
+        mix return weights' own arrays, not copies."""
+        st = make_state(kind, SeededRng(344), c_out=7)
+        names = [n for n in WEIGHT_NAMES[kind] if n not in ("aux", "mix")]
+        assert len(st.kernels) == len(names)
+        assert all(kern is st.weights[n] for kern, n in zip(st.kernels, names))
+        assert st.aux is st.weights.get("aux")
+        assert st.mix is st.weights.get("mix")
 
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
     def test_with_named_rejects_unknown_names(self, kind):
