@@ -11,7 +11,6 @@ training demo where cross-slice mixing is the whole game.
 from .ctf import ContainerError, read_manifest, read_tensor, write_manifest, write_tensor
 from .operators import (
     ALL_KINDS,
-    OperatorGrads,
     OperatorKind,
     OperatorState,
     acs_split,
@@ -37,7 +36,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ALL_KINDS",
     "ContainerError",
-    "OperatorGrads",
     "OperatorKind",
     "OperatorState",
     "SeededRng",

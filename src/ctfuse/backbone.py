@@ -107,7 +107,7 @@ class Backbone:
 def _dotted(fusion_layers, unify_kernels, collapse) -> dict[str, np.ndarray]:
     named = {}
     for i, (op, bias) in enumerate(fusion_layers):
-        named.update((f"layer{i}.{n}", arr) for n, arr in op.weight_arrays().items())
+        named.update((f"layer{i}.{n}", arr) for n, arr in op.weights.items())
         named[f"layer{i}.bias"] = bias
     named.update((f"unify{s}", k) for s, k in enumerate(unify_kernels))
     named["collapse"] = collapse
@@ -133,7 +133,7 @@ def with_named(bb: Backbone, named: dict[str, np.ndarray]) -> Backbone:
                  if np.shape(a) != new[n].shape]:
         raise ShapeError(f"backbone weights must keep their shapes: {', '.join(wrong)}")
     new.update(named)
-    fusion = [(state.with_named({n: new[f"layer{i}.{n}"] for n in state.weight_arrays()}),
+    fusion = [(state.with_named({n: new[f"layer{i}.{n}"] for n in state.weights}),
                new[f"layer{i}.bias"]) for i, (state, _) in enumerate(bb.fusion_layers)]
     unify = [new[f"unify{s}"] for s in range(len(bb.unify_kernels))]
     return Backbone(bb.config, fusion, unify, new["collapse"])

@@ -6,6 +6,7 @@ directory), forward (apply a saved operator or backbone to a volume).
 """
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -23,10 +24,10 @@ from .rng import SeededRng
 
 KIND_NAMES = [k.value for k in ALL_KINDS]
 
-TASK_FIELDS = {"volumes": int, "depth": int, "height": int, "width": int,
-               "blob_radius": float, "amplitude": float, "noise_sigma": float}
-TRAIN_FIELDS = {"epochs": int, "batch_size": int, "learning_rate": float,
-                "val_fraction": float}
+# A demo config file may set the int and float fields of both configs but seed.
+CONFIG_FIELDS = {cls: {f.name: f.type for f in dataclasses.fields(cls)
+                       if f.type in (int, float) and f.name != "seed"}
+                 for cls in (SyntheticTaskConfig, TrainConfig)}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -104,7 +105,7 @@ def _cmd_check(args) -> int:
 
 def _read_config_file(path: str) -> ctf.Manifest:
     entries = ctf.read_manifest(Path(path))
-    known = set(TASK_FIELDS) | set(TRAIN_FIELDS)
+    known = set().union(*CONFIG_FIELDS.values())
     for key in entries:
         if key not in known:
             raise ValueError(f"unknown config key {key!r}; expected one of "
@@ -114,10 +115,9 @@ def _read_config_file(path: str) -> ctf.Manifest:
 
 def _cmd_demo(args) -> int:
     overrides = _read_config_file(args.config) if args.config else {}
-    task_kw = {name: overrides.parse(name, conv)
-               for name, conv in TASK_FIELDS.items() if name in overrides}
-    train_kw = {name: overrides.parse(name, conv)
-                for name, conv in TRAIN_FIELDS.items() if name in overrides}
+    task_kw, train_kw = ({name: overrides.parse(name, conv)
+                          for name, conv in fields.items() if name in overrides}
+                         for fields in CONFIG_FIELDS.values())
     if args.volumes is not None:
         task_kw["volumes"] = args.volumes
     if args.epochs is not None:

@@ -30,11 +30,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .operators import OperatorKind, stage_shapes
+from .tensor import as_int
 
 
 @dataclass(frozen=True)
 class LayerDims:
-    """One fusion layer's dimensions: channels in/out, kernel extent, volume."""
+    """One fusion layer's dimensions: channels in/out, kernel extent, volume.
+    Each is stored as int; a value that is not an integer raises ValueError."""
 
     c_in: int
     c_out: int
@@ -45,9 +47,10 @@ class LayerDims:
 
     def __post_init__(self):
         for name in ("c_in", "c_out", "k", "d", "h", "w"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
-                raise ValueError(f"{name} must be a positive integer, got {v!r}")
+            v = as_int(getattr(self, name), name)
+            if v < 1:
+                raise ValueError(f"{name} must be >= 1, got {v}")
+            object.__setattr__(self, name, v)
         if self.k % 2 != 1:
             raise ValueError(f"kernel extent must be odd, got {self.k}")
 

@@ -34,6 +34,7 @@ from . import ctf
 from .rng import SeededRng
 from .tensor import (
     ShapeError,
+    as_int,
     as_volume,
     axial_shift,
     axial_shift_adjoint,
@@ -221,7 +222,8 @@ class OperatorState:
     spans); others raise ShapeError.  shift_splits is tsm's (up, down)
     channel split.  kernels, aux and mix are read-only views of weights.
     Treat instances as immutable: training code builds updated copies
-    via `with_named`.
+    via `with_named`.  backward returns an operator's gradients in this
+    same container, each under its weight's name.
     """
 
     kind: OperatorKind
@@ -281,10 +283,6 @@ class OperatorState:
         """The slice count a3d's mixing stack fixes; None for kinds without a mix."""
         return self.mix.shape[0] if self.mix is not None and self.mix.ndim else None
 
-    def weight_arrays(self) -> dict[str, np.ndarray]:
-        """Name -> array for every trainable tensor, in weights' order."""
-        return dict(self.weights)
-
     def with_named(self, named: dict[str, np.ndarray]) -> "OperatorState":
         """Copy of this state with the weights named in `named` swapped out;
         a name weights does not hold raises KeyError."""
@@ -295,30 +293,16 @@ class OperatorState:
 
 @dataclass(frozen=True)
 class OperatorGrads:
-    """Gradients mirroring OperatorState's weight layout."""
+    """The gradient layout backward returned before it returned an
+    OperatorState; the library no longer builds one."""
 
     kernels: tuple[np.ndarray, ...]
     aux: np.ndarray | None = None
     mix: np.ndarray | None = None
 
-    def weight_arrays(self) -> dict[str, np.ndarray]:
-        return _named_weights(self.kernels, self.aux, self.mix)
-
 
 _KERNEL_NAMES = ("main", "axial", "coronal", "sagittal")
 _WEIGHT_NAMES = _KERNEL_NAMES + ("aux", "mix")
-
-
-def _named_weights(kernels, aux, mix) -> dict[str, np.ndarray]:
-    names = _KERNEL_NAMES[1:] if len(kernels) == 3 else _KERNEL_NAMES[:1]
-    out = dict(zip(names, kernels))
-    out.update((name, arr) for name, arr in (("aux", aux), ("mix", mix)) if arr is not None)
-    return out
-
-
-def _split_named(named) -> tuple:
-    """(kernels, aux, mix) of a weight-name dict: _named_weights inverted."""
-    return tuple(named[n] for n in _KERNEL_NAMES if n in named), named.get("aux"), named.get("mix")
 
 
 def _as_kernel2d(w2d) -> np.ndarray:
@@ -359,7 +343,10 @@ def inflate(kind: OperatorKind, w2d, depth: int, rng: SeededRng | None = None, *
     identity and needs no rng.  tsm shifts floor(Cin/tsm_div) channels in
     each direction.
     """
+    if not isinstance(kind, OperatorKind):
+        raise TypeError(f"kind must be an OperatorKind, got {kind!r}")
     w2d = _as_kernel2d(w2d)
+    depth, tsm_div = as_int(depth, "depth"), as_int(tsm_div, "tsm_div")
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     if tsm_div < 1:
@@ -402,8 +389,10 @@ def forward(state: OperatorState, x, return_inner: bool = False):
     return (out, inner) if return_inner else out
 
 
-def backward(state: OperatorState, x, grad_out, inner=None) -> tuple[np.ndarray, OperatorGrads]:
-    """Exact adjoints of forward: input gradient plus per-weight gradients.
+def backward(state: OperatorState, x, grad_out, inner=None) -> tuple[np.ndarray, OperatorState]:
+    """Exact adjoints of forward: the input gradient, and the weight
+    gradients as an OperatorState of state's kind and shift_splits whose
+    weights hold each weight's gradient under its name.
 
     inner is the tensor forward(state, x, return_inner=True) returned
     beside the output; without it, backward recomputes it from x.
@@ -417,7 +406,7 @@ def backward(state: OperatorState, x, grad_out, inner=None) -> tuple[np.ndarray,
     grad_x = last.backward(state, x if inner is None else inner, grad_out, grads)
     if first:
         grad_x = first[0].backward(state, x, grad_x, grads)
-    return grad_x, OperatorGrads(*_split_named(grads))
+    return grad_x, replace(state, weights=grads)
 
 
 _MANIFEST_NAME = "operator.txt"

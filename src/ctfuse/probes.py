@@ -26,7 +26,8 @@ from .operators import (
 )
 from .reference import naive_operator_forward
 from .rng import SeededRng
-from .tensor import conv3d_backward, conv3d_forward, slice_contract_backward, slice_contract_forward
+from .tensor import (as_volume, conv3d_backward, conv3d_forward, slice_contract_backward,
+                     slice_contract_forward)
 
 GRAD_TOLERANCE = 1e-5
 ORACLE_TOLERANCE = 1e-12
@@ -89,7 +90,7 @@ def _interior_range(depth: int, radius: int | None, s: int) -> tuple[int, int] |
 
 def equivariance_probe(state: OperatorState, x, s: int) -> EquivarianceReport:
     """Compare operator-then-shift against shift-then-operator."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
+    x = as_volume(x)
     depth = x.shape[1]
     if abs(s) >= depth:
         raise ValueError(f"|shift| must be < depth {depth}, got {s}")
@@ -176,7 +177,7 @@ def generic_state(kind: OperatorKind, rng: SeededRng, *, c_out=5, c_in=8, k=3,
         sign = np.where(rng.uniform(0, 1, shape) < 0.5, -1.0, 1.0)
         return sign * rng.uniform(0.1, 1.0, shape)
 
-    return st.with_named({name: draw(a.shape) for name, a in st.weight_arrays().items()})
+    return st.with_named({name: draw(a.shape) for name, a in st.weights.items()})
 
 
 def _operator_fd(kind: OperatorKind, rng: SeededRng, samples: int) -> tuple[float, int]:
@@ -190,8 +191,8 @@ def _operator_fd(kind: OperatorKind, rng: SeededRng, samples: int) -> tuple[floa
         return float(np.sum(g * op_forward(st.with_named(weights), tensors["x"])))
 
     gx, grads = op_backward(st, x, g)
-    tensors = {"x": x, **st.weight_arrays()}
-    analytic = {"x": gx, **grads.weight_arrays()}
+    tensors = {"x": x, **st.weights}
+    analytic = {"x": gx, **grads.weights}
     return finite_diff_check(loss, tensors, analytic, r.fork(5), samples=samples)
 
 

@@ -137,13 +137,17 @@ class TestDemo:
         cfg = tmp_path / "demo.cfg"
         cfg.write_text("volumes=12\nmomentum=0.9\n")
         assert main(["demo", "--config", str(cfg)]) == 1
-        assert "momentum" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: unknown config key 'momentum'; expected one of amplitude, batch_size, "
+            "blob_radius, depth, epochs, height, learning_rate, noise_sigma, val_fraction, "
+            "volumes, width\n")
 
     def test_non_integer_config_value_names_file_and_key(self, tmp_path, capsys):
         cfg = tmp_path / "demo.cfg"
-        cfg.write_text("volumes=nan\n")
-        assert main(["demo", "--config", str(cfg), "--out", str(tmp_path / "m.csv")]) == 1
-        assert_clean_failure(capsys, "demo.cfg", "volumes='nan'")
+        for value in ("nan", "2.5"):
+            cfg.write_text(f"volumes={value}\n")
+            assert main(["demo", "--config", str(cfg), "--out", str(tmp_path / "m.csv")]) == 1
+            assert_clean_failure(capsys, "demo.cfg", f"volumes='{value}'")
 
     def test_non_finite_learning_rate_fails_before_training(self, tmp_path, capsys,
                                                             monkeypatch):

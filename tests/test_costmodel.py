@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ctfuse.backbone import BackboneConfig, build, head_layers, layer_dims
@@ -123,7 +124,7 @@ class TestAgainstImplementation:
                                  d=2 + trial, h=4, w=4)
                 w2d = r.uniform(-1, 1, (dims.c_out, dims.c_in, dims.k, dims.k))
                 st = inflate(kind, w2d, dims.d, rng=r.fork(trial))
-                params = sum(a.size for a in st.weight_arrays().values())
+                params = sum(a.size for a in st.weights.values())
                 assert params == count_params(kind, dims), (kind, dims)
 
     def test_macs_match_instrumented_oracle(self):
@@ -178,6 +179,22 @@ class TestReport:
             LayerDims(0, 4, 3, 3, 4, 4)
         with pytest.raises(ValueError):
             LayerDims(4, 4, 2, 3, 4, 4)
+
+    @pytest.mark.parametrize("name, value, match", [
+        ("c_in", True, "c_in must be an integer"),
+        ("c_out", 4.0, "c_out must be an integer"),
+        ("d", "3", "d must be an integer"),
+        ("h", np.int64(0), "h must be >= 1"),
+        ("k", np.int32(2), "kernel extent must be odd"),
+    ])
+    def test_non_integer_dims_rejected_by_name(self, name, value, match):
+        fields = {"c_in": 4, "c_out": 4, "k": 3, "d": 3, "h": 4, "w": 4, name: value}
+        with pytest.raises(ValueError, match=match):
+            LayerDims(**fields)
+
+    def test_numpy_integer_dims_stored_as_int(self):
+        dims = LayerDims(c_in=np.int64(3), c_out=4, k=np.int32(3), d=3, h=4, w=4)
+        assert (dims.c_in, dims.k) == (3, 3) and type(dims.c_in) is int and type(dims.k) is int
 
     def test_acs_needs_three_out_channels(self):
         with pytest.raises(ValueError):

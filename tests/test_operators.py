@@ -32,7 +32,7 @@ def generic_state(kind, rng, c_out=5, c_in=8, k=3, depth=4):
     degenerates to the init-time special cases."""
     st = make_state(kind, rng, c_out=c_out, c_in=c_in, k=k, depth=depth)
     return st.with_named({name: rng.uniform(0.1, 1.0, arr.shape)
-                          for name, arr in st.weight_arrays().items()})
+                          for name, arr in st.weights.items()})
 
 
 class TestAcsSplit:
@@ -107,7 +107,7 @@ class TestInflate:
         """Writing to the 2D kernel after inflate leaves the operator alone."""
         w2d = SeededRng(304).uniform(-1, 1, (7, 2, 3, 3))
         st = inflate(kind, w2d, depth=5, rng=SeededRng(305))
-        for name, arr in st.weight_arrays().items():
+        for name, arr in st.weights.items():
             assert not np.shares_memory(arr, w2d), name
         before = forward(st, np.ones((2, 5, 4, 4)))
         w2d[...] = 5.0
@@ -152,6 +152,18 @@ class TestInflate:
         b = inflate(OperatorKind.A3D, w2d, depth=3, rng=SeededRng(5))
         assert np.array_equal(a.mix, b.mix)
 
+    @pytest.mark.parametrize("args, kwargs, error, match", [
+        (("a3d", np.ones((3, 2, 3, 3)), 3), {}, TypeError, "OperatorKind"),
+        ((OperatorKind.A3D, np.ones((3, 2, 3, 3)), 3.0), {"rng": SeededRng(307)},
+         ValueError, "depth"),
+        ((OperatorKind.NOFUSION, np.ones((3, 2, 3, 3)), 2.5), {}, ValueError, "depth"),
+        ((OperatorKind.NOFUSION, np.ones((3, 2, 3, 3)), True), {}, ValueError, "depth"),
+        ((OperatorKind.TSM, np.ones((3, 2, 3, 3)), 3), {"tsm_div": 2.5}, ValueError, "tsm_div"),
+    ], ids=["kind-str", "depth-float-a3d", "depth-float", "depth-bool", "tsm_div-float"])
+    def test_bad_arguments_rejected_typed(self, args, kwargs, error, match):
+        with pytest.raises(error, match=match):
+            inflate(*args, **kwargs)
+
     def test_depth_below_one_rejected(self):
         with pytest.raises(ValueError):
             inflate(OperatorKind.NOFUSION, np.ones((2, 2, 3, 3)), depth=0)
@@ -178,7 +190,7 @@ class TestInflate:
         for kind in ALL_KINDS:
             st = make_state(kind, rng.fork(hash(kind.value) % 1000),
                             c_out=co, c_in=ci, k=k, depth=d)
-            assert sum(a.size for a in st.weight_arrays().values()) == expected[kind], kind
+            assert sum(a.size for a in st.weights.values()) == expected[kind], kind
 
 
 class TestForward:
@@ -279,7 +291,7 @@ class TestBackward:
             st = make_state(kind, rng.fork(i))
             gx, grads = backward(st, x, np.zeros((5, 4, 4, 4)))
             assert not gx.any()
-            for arr in grads.weight_arrays().values():
+            for arr in grads.weights.values():
                 assert not arr.any()
 
     def test_adjoint_identity_all_kinds(self):
@@ -295,17 +307,22 @@ class TestBackward:
             assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0), kind
 
     def test_grad_layout_mirrors_state(self):
+        """The gradients are an OperatorState of the same kind and
+        shift_splits, with the weights' names, order and shapes."""
         rng = SeededRng(322)
         x = rng.uniform(-1, 1, (4, 4, 4, 4))
         g = rng.uniform(-1, 1, (5, 4, 4, 4))
         for i, kind in enumerate(ALL_KINDS):
             st = make_state(kind, rng.fork(i))
-            _, grads = backward(st, x, g)
-            weights = st.weight_arrays()
-            gw = grads.weight_arrays()
-            assert list(weights) == list(gw)
-            for name in weights:
-                assert weights[name].shape == gw[name].shape
+            grads = backward(st, x, g)[1]
+            assert isinstance(grads, OperatorState), kind
+            assert (grads.kind, grads.shift_splits) == (st.kind, st.shift_splits)
+            assert [(n, a.shape) for n, a in grads.weights.items()] == \
+                [(n, a.shape) for n, a in st.weights.items()], kind
+            if kind is OperatorKind.ACS:
+                views = [grads.weights[n] for n in ("axial", "coronal", "sagittal")]
+                assert all(k is v for k, v in zip(grads.kernels, views, strict=True))
+                assert [k.shape[0] for k in grads.kernels] == list(acs_split(5))
 
     def test_finite_differences_all_kinds(self):
         """Weight and input gradients match central differences for all six."""
@@ -329,8 +346,8 @@ class TestBackward:
                 num = (loss(st, xp) - loss(st, xm)) / (2 * step)
                 assert abs(num - gx[xi]) <= 1e-6 * max(abs(num), abs(gx[xi]), 1e-12), kind
 
-            for name, warr in st.weight_arrays().items():
-                ganalytic = grads.weight_arrays()[name]
+            for name, warr in st.weights.items():
+                ganalytic = grads.weights[name]
                 for _ in range(6):
                     wi = tuple(int(r.uniform(0, s)) for s in warr.shape)
                     wp, wm = warr.copy(), warr.copy()
@@ -388,9 +405,9 @@ class TestBackward:
                 continue
             gx, grads = backward(st, x, g, inner)
             assert gx.tobytes() == want_gx.tobytes(), st.kind
-            want = want_grads.weight_arrays()
-            assert list(grads.weight_arrays()) == list(want)
-            for name, arr in grads.weight_arrays().items():
+            want = want_grads.weights
+            assert list(grads.weights) == list(want)
+            for name, arr in grads.weights.items():
                 assert arr.tobytes() == want[name].tobytes(), (st.kind, name)
 
 
@@ -457,7 +474,7 @@ class TestStateValidation:
         """A misspelt name, or another kind's weight name, raises KeyError
         instead of leaving the old weight in place."""
         st = make_state(kind, SeededRng(342))
-        foreign = next(n for n in ("main", "aux", "mix") if n not in st.weight_arrays())
+        foreign = next(n for n in ("main", "aux", "mix") if n not in st.weights)
         for name in ("mian", foreign):
             with pytest.raises(KeyError, match=name):
                 st.with_named({name: np.ones((5, 4, 1, 3, 3))})
@@ -480,8 +497,8 @@ class TestStageTable:
         st = make_state(kind, SeededRng(340), c_out=7, c_in=16, k=k, depth=6)
         table = {name: shape for _, shapes in stage_shapes(kind, 16, 7, k, 6)
                  for name, shape in shapes.items()}
-        assert list(st.weight_arrays()) == list(WEIGHT_NAMES[kind])
-        assert table == {name: arr.shape for name, arr in st.weight_arrays().items()}
+        assert list(st.weights) == list(WEIGHT_NAMES[kind])
+        assert table == {name: arr.shape for name, arr in st.weights.items()}
 
     @pytest.mark.parametrize("direction", ["wide", "deep"])
     @pytest.mark.parametrize("kind,name", [(kind, name) for kind in ALL_KINDS
@@ -491,7 +508,7 @@ class TestStageTable:
         """One entry too many along the last axis (wide) or the depth axis
         (deep: Kd of a kernel, the first D of the mixing stack)."""
         st = make_state(kind, SeededRng(341), c_out=7, c_in=8, depth=5)
-        shape = list(st.weight_arrays()[name].shape)
+        shape = list(st.weights[name].shape)
         shape[-1 if direction == "wide" else (0 if name == "mix" else 2)] += 1
         with pytest.raises(ShapeError):
             st.with_named({name: np.ones(shape)})
@@ -509,8 +526,8 @@ class TestSerialization:
             back = load_operator(d)
             assert back.kind == st.kind
             assert forward(back, x).tobytes() == forward(st, x).tobytes()
-            for name, arr in st.weight_arrays().items():
-                assert np.array_equal(back.weight_arrays()[name], arr), (kind, name)
+            for name, arr in st.weights.items():
+                assert np.array_equal(back.weights[name], arr), (kind, name)
 
     def test_expected_files(self, tmp_path):
         rng = SeededRng(331)
@@ -565,8 +582,8 @@ class TestSerialization:
         manifest.write_text(manifest.read_text() + older + "seed=336\n")
         back = load_operator(tmp_path / "op")
         assert back.kind is kind and back.shift_splits == st.shift_splits
-        assert {n: a.tobytes() for n, a in back.weight_arrays().items()} == \
-            {n: a.tobytes() for n, a in st.weight_arrays().items()}
+        assert {n: a.tobytes() for n, a in back.weights.items()} == \
+            {n: a.tobytes() for n, a in st.weights.items()}
 
     def test_a3d_manifest_requires_depth(self, tmp_path):
         save_operator(make_state(OperatorKind.A3D, SeededRng(337)), tmp_path / "op")

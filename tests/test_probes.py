@@ -16,6 +16,7 @@ from ctfuse.probes import (
     shift_volume,
 )
 from ctfuse.rng import SeededRng
+from ctfuse.tensor import ShapeError
 
 MIXING_KINDS = (OperatorKind.I3D, OperatorKind.P3D, OperatorKind.ACS, OperatorKind.TSM)
 
@@ -178,6 +179,11 @@ class TestEquivarianceProbe:
                     if not 0 <= d + delta <= d_total - 1 and 0 <= read <= d_total - 1:
                         want -= taps[delta + 1] * x[0, read, 0, 0]
                 assert err[0, d, 0, 0] == pytest.approx(want, abs=1e-12), (s, d)
+
+    def test_rank_one_input_is_a_shape_error(self):
+        st = generic_state(OperatorKind.I3D, SeededRng(13))
+        with pytest.raises(ShapeError, match="rank 4"):
+            equivariance_probe(st, np.ones(7), 1)
 
     def test_shift_must_be_smaller_than_depth(self):
         st = generic_state(OperatorKind.I3D, SeededRng(12))
