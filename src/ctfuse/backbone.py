@@ -8,6 +8,15 @@ neighbor), and the unified maps are summed.  A final Dx1x1 valid
 convolution collapses the depth axis, leaving a rank-3 (Cfeat, H, W)
 feature map.
 
+The head computes that function in fewer multiply-adds.  Unification
+and collapse are 1x1 in-plane, so they commute with the upsampling:
+stage 0's unification is folded into the collapse (one Cfeat x C0 kernel
+per slice, collapse[:, :, d] @ unify0) and applied to stage 0 at full
+resolution, while the coarser stages are unified at their own
+resolution, summed at stage 1's, and that sum is collapsed there and
+added to every pixel of its 2x2 block.  A one-stage backbone has no
+coarse sum.
+
 Forward and backward are exact hand-written adjoint compositions; 2D
 kernels are drawn He-style (uniform with half width sqrt(6/fan_in)) from
 per-layer forked substreams of the config seed, so the same seed yields
@@ -154,12 +163,19 @@ def layer_dims(config: BackboneConfig) -> list[LayerDims]:
 
 
 def head_layers(config: BackboneConfig) -> list[HeadLayer]:
-    """Dimensions of the head, for the cost model: each stage's 1x1x1
-    unification at the stage's own resolution, then the Dx1x1 collapse."""
+    """The head's products as forward_features runs them, for the cost
+    model: the fold of unify0 into the collapse (the collapse applied to
+    each of unify0's C0 columns), the fold applied to stage 0's output at
+    full resolution, then for two or more stages each coarser stage's
+    1x1x1 unification at its own resolution and the Dx1x1 collapse of
+    their sum at stage 1's resolution."""
+    (c0, _), *coarser = config.stages
     cf, d, hw = config.feature_channels, config.depth, config.height * config.width
-    head = [HeadLayer(f"unify{s}", c, cf, 1, d * hw // 4 ** s)
-            for s, (c, _) in enumerate(config.stages)]
-    return head + [HeadLayer("collapse", cf, cf, d, hw)]
+    head = [HeadLayer("fold", cf, cf, d, c0, params=cf * c0 + cf * cf * d),
+            HeadLayer("apply_fold", c0, cf, d, hw, params=0)]
+    head += [HeadLayer(f"unify{s}", c, cf, 1, d * hw // 4 ** s, params=cf * c)
+             for s, (c, _) in enumerate(coarser, start=1)]
+    return head + ([HeadLayer("collapse", cf, cf, d, hw // 4, params=0)] if coarser else [])
 
 
 def _he_uniform(rng: SeededRng, shape, fan_in: int) -> np.ndarray:
@@ -206,8 +222,8 @@ def _upsample_adjoint(g: np.ndarray, f: int) -> np.ndarray:
 
 def _head_conv(x: np.ndarray, kernel: np.ndarray, lead: int) -> np.ndarray:
     """Bias-free convolution whose kernel is 1x1 in-plane and spans the
-    first `lead` axes of x whole: the 1x1x1 unification (lead 1) or the
-    Dx1x1 valid depth collapse (lead 2), as one matrix product."""
+    first `lead` axes of x whole: the 1x1x1 unification (lead 1), or the
+    Dx1x1 valid depth collapse or the fold (lead 2), as one matrix product."""
     km = kernel.reshape(kernel.shape[0], -1)
     return (km @ x.reshape(km.shape[1], -1)).reshape(kernel.shape[:1] + x.shape[lead:])
 
@@ -216,6 +232,22 @@ def _head_conv_adjoint(x, kernel, g):
     km = kernel.reshape(kernel.shape[0], -1)
     gm = g.reshape(km.shape[0], -1)
     return (km.T @ gm).reshape(x.shape), (gm @ x.reshape(km.shape[1], -1).T).reshape(kernel.shape)
+
+
+def _fold(unify0: np.ndarray, collapse: np.ndarray) -> np.ndarray:
+    """Stage 0's unification followed by the collapse as one kernel over
+    stage 0's (channel, slice) rows: fold[:, :, d] = collapse[:, :, d] @ unify0,
+    a (Cfeat, C0, D) stack built by one matmul batched over output channels."""
+    cf, c0 = unify0.shape[:2]
+    return np.matmul(unify0.reshape(cf, c0).T, collapse.reshape(cf, cf, -1))
+
+
+def _fold_adjoint(unify0, collapse, g):
+    """Gradients of unify0 and collapse given the gradient g of their fold."""
+    cf, c0 = unify0.shape[:2]
+    grad_collapse = np.matmul(unify0.reshape(cf, c0), g).reshape(collapse.shape)
+    grad_unify0 = np.tensordot(collapse.reshape(cf, cf, -1), g, axes=([0, 2], [0, 2]))
+    return grad_unify0.reshape(unify0.shape), grad_collapse
 
 
 @dataclass
@@ -233,9 +265,9 @@ def forward_features(bb: Backbone, x, tape: Tape | None = None) -> np.ndarray:
 
     Given a tape, runs on a private copy of x and records on the tape per
     fusion layer its input, ReLU output and operator inner tensor, then
-    each stage's output and the unified full-resolution sum.  Without a
-    tape it records nothing: of the layers, only each stage's output is
-    kept, for the head.
+    each stage's output, the folded stage-0 kernel and the coarse sum at
+    stage 1's resolution (None for one stage).  Without a tape it records
+    nothing: of the layers, only each stage's output is kept, for the head.
     """
     x = as_volume(x)
     config = bb.config
@@ -258,16 +290,19 @@ def forward_features(bb: Backbone, x, tape: Tape | None = None) -> np.ndarray:
             cur = out
             li += 1
         stage_outputs.append(cur)
-    # A 1x1x1 convolution commutes with nearest-neighbour upsampling, so
-    # each stage is unified at its own resolution, then added to every
-    # pixel of its block in the full-resolution sum.
-    summed = _head_conv(stage_outputs[0], bb.unify_kernels[0], 1)
-    for s in range(1, len(stage_outputs)):
-        term = _head_conv(stage_outputs[s], bb.unify_kernels[s], 1)
-        _blocks(summed, 2 ** s)[...] += term[:, :, :, None, :, None]
+    fold = _fold(bb.unify_kernels[0], bb.collapse)
+    feat = _head_conv(stage_outputs[0], fold, 2)
+    coarse = None
+    if len(stage_outputs) > 1:
+        coarse = _head_conv(stage_outputs[1], bb.unify_kernels[1], 1)
+        for s in range(2, len(stage_outputs)):
+            term = _head_conv(stage_outputs[s], bb.unify_kernels[s], 1)
+            _blocks(coarse, 2 ** (s - 1))[...] += term[:, :, :, None, :, None]
+        collapsed = _head_conv(coarse, bb.collapse, 2)
+        _blocks(feat[:, None], 2)[...] += collapsed[:, None, :, None, :, None]
     if tape is not None:
-        tape.backbone, tape.trace = bb, (layers, stage_outputs, summed)
-    return _head_conv(summed, bb.collapse, 2)
+        tape.backbone, tape.trace = bb, (layers, stage_outputs, fold, coarse)
+    return feat
 
 
 def backward_features(tape: Tape, grad_map) -> dict[str, np.ndarray]:
@@ -276,7 +311,7 @@ def backward_features(tape: Tape, grad_map) -> dict[str, np.ndarray]:
     named_weights(tape.backbone).  An unfilled tape raises ValueError."""
     if tape.trace is None:
         raise ValueError("tape holds no forward; fill it with forward_features(bb, x, tape)")
-    bb, (layers, stage_outputs, summed) = tape.backbone, tape.trace
+    bb, (layers, stage_outputs, fold, coarse) = tape.backbone, tape.trace
     grad_map = np.ascontiguousarray(grad_map, dtype=np.float64)
     config = bb.config
     cf = config.feature_channels
@@ -284,10 +319,18 @@ def backward_features(tape: Tape, grad_map) -> dict[str, np.ndarray]:
         raise ShapeError(f"grad_map must be {(cf, config.height, config.width)}, "
                          f"got {grad_map.shape}")
 
-    grad_summed, grad_collapse = _head_conv_adjoint(summed, bb.collapse, grad_map)
-    grad_stage, grad_unify = zip(*(
-        _head_conv_adjoint(out, bb.unify_kernels[s], _upsample_adjoint(grad_summed, 2 ** s))
-        for s, out in enumerate(stage_outputs)))
+    grad_stage0, grad_fold = _head_conv_adjoint(stage_outputs[0], fold, grad_map)
+    grad_unify0, grad_collapse = _fold_adjoint(bb.unify_kernels[0], bb.collapse, grad_fold)
+    grad_stage, grad_unify = [grad_stage0], [grad_unify0]
+    if coarse is not None:
+        grad_coarse, grad_coarse_collapse = _head_conv_adjoint(
+            coarse, bb.collapse, _upsample_adjoint(grad_map[:, None], 2))
+        grad_collapse = grad_collapse + grad_coarse_collapse
+        for s in range(1, len(stage_outputs)):
+            gs, gu = _head_conv_adjoint(stage_outputs[s], bb.unify_kernels[s],
+                                        _upsample_adjoint(grad_coarse, 2 ** (s - 1)))
+            grad_stage.append(gs)
+            grad_unify.append(gu)
 
     grad_fusion = [None] * len(bb.fusion_layers)
     li = len(bb.fusion_layers)

@@ -17,9 +17,11 @@ so the overhead ratios are 1, K, 1 + Co/(Ci*K), 1, 1, and
 1 + D^2/(Co*K^2) for parameters / 1 + D/(Co*K^2) for MACs; both counts
 are read off the operators' stage table (`operators.stage_shapes`).
 
-The backbone's head (a 1x1x1 unification per stage at the stage's own
-resolution, then the Dx1x1 valid depth collapse) is counted apart, so
-the fusion totals and ratios stay those of the operators alone.
+The backbone's head (stage 0's unification folded into the Dx1x1 valid
+depth collapse and applied at full resolution; each coarser stage
+unified at its own resolution and their sum collapsed at stage 1's) is
+counted apart, so the fusion totals and ratios stay those of the
+operators alone.
 
 MACs are the primary unit; a FLOP display doubles them (one multiply
 plus one add) and leaves every ratio unchanged.
@@ -138,22 +140,20 @@ def backbone_cost(kind: OperatorKind, layers) -> CostReport:
 
 @dataclass(frozen=True)
 class HeadLayer:
-    """One bias-free head convolution, 1x1 in-plane: c_out x c_in weights
-    with `taps` depth taps, each used once per output position."""
+    """One bias-free head product, 1x1 in-plane: c_out x c_in weights with
+    `taps` depth taps, each used once per output position.  params counts
+    the trainable weights it reads that no earlier head layer read."""
 
     name: str
     c_in: int
     c_out: int
     taps: int
     positions: int
-
-    @property
-    def params(self) -> int:
-        return self.c_out * self.c_in * self.taps
+    params: int
 
     @property
     def macs(self) -> int:
-        return self.positions * self.params
+        return self.positions * self.c_out * self.c_in * self.taps
 
 
 def head_rows(head, reports) -> list[tuple[str, str, int, int]]:

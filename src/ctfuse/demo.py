@@ -274,15 +274,9 @@ def train(data: TaskData, cfg: TrainConfig) -> DemoMetrics:
                 total_b += float(dz.sum())
                 dfeat = head_v[:, None, None] * dz[None]
                 grads = backward_features(tape, dfeat)
-                if total is None:
-                    total = grads
-                else:
-                    for name, add in grads.items():
-                        total[name] += add
+                total = grads if total is None else {n: total[n] + g for n, g in grads.items()}
             inv = 1.0 / len(batch)
-            for arr in total.values():
-                arr *= inv
-            bb = apply_sgd(bb, total, cfg.learning_rate)
+            bb = apply_sgd(bb, {n: a * inv for n, a in total.items()}, cfg.learning_rate)
             head_v = head_v - cfg.learning_rate * inv * total_v
             head_b = head_b - cfg.learning_rate * inv * total_b
         train_loss = float(epoch_losses.mean())

@@ -215,7 +215,8 @@ def stage_shapes(kind: OperatorKind, c_in: int, c_out: int, k: int, depth):
 class OperatorState:
     """Weights of one fusion operator.
 
-    weights maps each weight name to its array, read-only and in the
+    weights maps each weight name to its array, read-only (a mapping of
+    non-writable views: assigning into one raises ValueError) and in the
     order main (or acs's axial, coronal, sagittal views), aux, mix,
     whatever order the caller passes.  The kind's stages fix the names
     and shapes (stage_shapes, for a3d at the depth its mixing stack
@@ -236,17 +237,19 @@ class OperatorState:
         name = self.kind.value
         if unknown := self.weights.keys() - _WEIGHT_NAMES:
             raise ShapeError(f"{name} has no weights named {sorted(map(str, unknown))}")
-        object.__setattr__(self, "weights", MappingProxyType({
-            n: np.ascontiguousarray(self.weights[n], dtype=np.float64)
-            for n in _WEIGHT_NAMES if n in self.weights}))
-        kernels = self.kernels
+        weights = {n: _read_only(self.weights[n]) for n in _WEIGHT_NAMES if n in self.weights}
+        object.__setattr__(self, "weights", MappingProxyType(weights))
+        kernels = [weights[n] for n in _KERNEL_NAMES if n in weights]
         if not kernels or any(k.ndim != 5 for k in kernels):
             raise ShapeError(f"kernels must be rank 5, got shapes {[k.shape for k in kernels]}")
         shifts = any(stage.name == "shift_splits" for stage in STAGES[self.kind])
         if (self.shift_splits is None) == shifts:
             raise ShapeError(f"{name} {'requires' if shifts else 'takes no'} shift_splits")
-        want = dict(item for _, shapes in stage_shapes(self.kind, self.c_in, self.c_out,
-                                                       self.k, self.depth)
+        c_in, k = kernels[0].shape[1], kernels[0].shape[3]
+        c_out = sum(kern.shape[0] for kern in kernels)
+        mix = weights.get("mix")
+        depth = mix.shape[0] if mix is not None and mix.ndim else None
+        want = dict(item for _, shapes in stage_shapes(self.kind, c_in, c_out, k, depth)
                     for item in shapes.items())
         have = {n: arr.shape for n, arr in self.weights.items()}
         if have != want or any(0 in shape for shape in have.values()):
@@ -254,9 +257,9 @@ class OperatorState:
         if self.shift_splits is not None:
             up, down = (int(s) for s in self.shift_splits)
             object.__setattr__(self, "shift_splits", (up, down))
-            if up < 0 or down < 0 or up + down > self.c_in:
+            if up < 0 or down < 0 or up + down > c_in:
                 raise ShapeError(f"shift_splits {self.shift_splits} invalid for "
-                                 f"{self.c_in} input channels")
+                                 f"{c_in} input channels")
 
     @property
     def kernels(self) -> tuple[np.ndarray, ...]:
@@ -268,20 +271,21 @@ class OperatorState:
 
     @property
     def c_out(self) -> int:
-        return sum(k.shape[0] for k in self.kernels)
+        return sum(self.weights[n].shape[0] for n in _KERNEL_NAMES if n in self.weights)
 
     @property
     def c_in(self) -> int:
-        return self.kernels[0].shape[1]
+        return next(iter(self.weights.values())).shape[1]  # the first kernel
 
     @property
     def k(self) -> int:
-        return self.kernels[0].shape[3]
+        return next(iter(self.weights.values())).shape[3]
 
     @property
     def depth(self) -> int | None:
         """The slice count a3d's mixing stack fixes; None for kinds without a mix."""
-        return self.mix.shape[0] if self.mix is not None and self.mix.ndim else None
+        mix = self.weights.get("mix")
+        return mix.shape[0] if mix is not None and mix.ndim else None
 
     def with_named(self, named: dict[str, np.ndarray]) -> "OperatorState":
         """Copy of this state with the weights named in `named` swapped out;
@@ -303,6 +307,17 @@ class OperatorGrads:
 
 _KERNEL_NAMES = ("main", "axial", "coronal", "sagittal")
 _WEIGHT_NAMES = _KERNEL_NAMES + ("aux", "mix")
+
+
+def _read_only(w) -> np.ndarray:
+    """w as a contiguous float64 array that cannot be written through: w
+    itself if it is one, else a non-writable view of it (w keeps its own
+    flags), converted first if it is not contiguous float64."""
+    arr = np.ascontiguousarray(w, dtype=np.float64)
+    if arr.flags.writeable:
+        arr = arr.view()
+        arr.setflags(write=False)
+    return arr
 
 
 def _as_kernel2d(w2d) -> np.ndarray:

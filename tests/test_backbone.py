@@ -25,11 +25,13 @@ from ctfuse.backbone import (
 )
 from ctfuse.costmodel import count_params
 from ctfuse.operators import ALL_KINDS, OperatorKind
+from ctfuse.probes import finite_diff_check
 from ctfuse.rng import SeededRng
 from ctfuse.tensor import ShapeError
 
 TINY = dict(depth=3, stages=((4, 1),), height=8, width=8, seed=11)
 TWO_STAGE = dict(depth=3, stages=((4, 1), (6, 1)), height=8, width=8, seed=12)
+THREE_STAGE = dict(depth=3, stages=((3, 1), (4, 2), (5, 1)), height=8, width=8, seed=14)
 
 
 def rand_input(config, seed=5):
@@ -197,11 +199,16 @@ class TestForward:
         want = np.einsum("cdhw,d->chw", stage, w)
         assert np.max(np.abs(feat - want)) <= 1e-12
 
-    def test_matches_full_resolution_unify(self):
-        """Unifying each stage before upsampling it equals the textbook
-        order: upsample every stage to full resolution, then unify."""
+    @pytest.mark.parametrize("stages,height,width", [
+        (((4, 1), (6, 2), (8, 1)), 8, 12),
+        (((4, 2),), 4, 6),
+        (((12, 1), (16, 1)), 4, 4),  # c0 = 3/4 H*W: the fold does more MACs
+    ], ids=["3stage", "1stage", "wide_stage0"])
+    def test_matches_full_resolution_unify(self, stages, height, width):
+        """The folded head equals the textbook order: upsample every stage
+        to full resolution, unify, sum, then collapse the depth."""
         from ctfuse.operators import forward as op_forward
-        c = BackboneConfig(depth=3, stages=((4, 1), (6, 2), (8, 1)), height=8, width=12,
+        c = BackboneConfig(depth=3, stages=stages, height=height, width=width,
                            fusion=OperatorKind.A3D, seed=13)
         bb = build(c)
         x = rand_input(c)
@@ -304,6 +311,26 @@ class TestBackward:
                 checked += 1
         assert checked == 150
 
+    def test_finite_differences_three_stages(self):
+        """The coarse path of the folded head: every unify kernel, the
+        collapse and one layer per stage (the first of stage 1's two
+        blocks), 10 random coordinates each at 1e-5 relative error."""
+        c = BackboneConfig(**THREE_STAGE, fusion=OperatorKind.A3D)
+        bb = build(c)
+        rng = SeededRng(602)
+        x = rand_input(c, seed=8)
+        g = rng.uniform(-1, 1, (5, 8, 8))
+        names = ("layer0.main", "layer1.mix", "layer3.main",
+                 "unify0", "unify1", "unify2", "collapse")
+
+        def loss(named):
+            return float(np.sum(g * forward_features(with_named(bb, named), x)))
+
+        worst, total = finite_diff_check(loss, {n: named_weights(bb)[n] for n in names},
+                                         taped_backward(bb, x, g), rng.fork(1), samples=10)
+        assert total == 70
+        assert worst <= 1e-5
+
     def test_detached_last_stage(self):
         """Zeroing the last stage's unification kernel kills the only path
         from its blocks to the output, so their gradients vanish."""
@@ -376,7 +403,10 @@ class TestNamedWeights:
         coronal = np.ones_like(named_weights(bb)["layer1.coronal"])
         nb = with_named(bb, {"layer1.coronal": coronal})
         for name, arr in named_weights(nb).items():
-            assert arr is (coronal if name == "layer1.coronal" else named_weights(bb)[name])
+            if name == "layer1.coronal":  # a read-only view of the caller's array, not a copy
+                assert arr.base is coronal and coronal.flags.writeable
+            else:
+                assert arr is named_weights(bb)[name]
         with pytest.raises(KeyError, match="layer1.mian"):
             with_named(bb, {"layer1.mian": coronal})
 
@@ -428,6 +458,22 @@ class TestTape:
         monkeypatch.setattr(backbone_module, "op_forward", spy)
         forward_features(bb, rand_input(c), Tape() if taped else None)
         assert alive == [taped]
+
+    @pytest.mark.parametrize("config", [THREE_STAGE, TINY], ids=["3stage", "1stage"])
+    def test_head_record_is_the_coarse_sum(self, config):
+        """The tape keeps the fold and the coarser stages' sum at stage 1's
+        resolution, never a full-resolution sum; one stage has no sum."""
+        c = BackboneConfig(**config)
+        tape = Tape()
+        forward_features(build(c), rand_input(c), tape)
+        _, stage_outputs, fold, coarse = tape.trace
+        cf = c.feature_channels
+        assert fold.shape == (cf, c.stages[0][0], c.depth)
+        if len(c.stages) == 1:
+            assert coarse is None
+        else:
+            assert coarse.shape == (cf, c.depth) + stage_outputs[1].shape[2:]
+            assert coarse.shape[2:] == (c.height // 2, c.width // 2)
 
     def test_unfilled_tape_rejected(self):
         with pytest.raises(ValueError, match="tape"):

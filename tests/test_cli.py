@@ -68,10 +68,11 @@ class TestCost:
     def test_head_rows_and_network_total(self, capsys):
         assert main(["cost", "--fusion", "nofusion"]) == 0
         out = capsys.readouterr().out
-        assert "head,unify0,32768,234881024" in out
-        assert "head,collapse,1835008,1879048192" in out
-        assert "head,total,2260992,2466250752" in out
-        assert "network,nofusion,3588672,3263102976" in out
+        assert "head,fold,1867776,117440512" in out
+        assert "head,apply_fold,0,234881024" in out
+        assert "head,collapse,0,469762048" in out
+        assert "head,total,2260992,1174405120" in out
+        assert "network,nofusion,3588672,1971257344" in out
 
     def test_invalid_stage_string_error_is_clean(self, capsys):
         assert main(["cost", "--stages", "64xx1"]) == 1

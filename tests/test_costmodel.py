@@ -203,29 +203,49 @@ class TestReport:
 
 class TestHead:
     def test_default_nofusion_head_and_network(self):
-        """Unify at each stage's own resolution plus the Dx1x1 collapse."""
+        """Fold, the fold at full resolution, unify1 and unify2 at their own
+        resolutions, and the collapse at stage 1's."""
         config = BackboneConfig()
         head = head_layers(config)
-        assert [h.macs for h in head] == [234_881_024, 234_881_024, 117_440_512,
-                                          1_879_048_192]
+        assert [h.name for h in head] == ["fold", "apply_fold", "unify1", "unify2", "collapse"]
+        assert [h.macs for h in head] == [117_440_512, 234_881_024, 234_881_024, 117_440_512,
+                                          469_762_048]
         fusion = backbone_cost(OperatorKind.NOFUSION, layer_dims(config))
         assert fusion.total_macs == 796_852_224
         rows = head_rows(head, [fusion])
-        assert rows[-2] == ("head", "total", 2_260_992, 2_466_250_752)
+        assert rows[-2] == ("head", "total", 2_260_992, 1_174_405_120)
         assert rows[-1] == ("network", "nofusion", fusion.total_params + 2_260_992,
-                            796_852_224 + 2_466_250_752)
+                            796_852_224 + 1_174_405_120)
+
+    @pytest.mark.parametrize("stages", [((4, 1),), ((4, 1), (6, 2)), ((4, 1), (6, 2), (8, 1))],
+                             ids=["1stage", "2stage", "3stage"])
+    def test_head_macs_count_the_folded_head(self, stages):
+        """MACs of each product forward_features runs, counted here from
+        the config: W0[d] = C[:, :, d] @ U0 for every slice, W0 applied to
+        stage 0 at full resolution, and with coarser stages their unify
+        at their own resolution and the collapse at stage 1's."""
+        config = BackboneConfig(depth=3, stages=stages, height=8, width=16)
+        d, h, w, cf = 3, 8, 16, stages[-1][0]
+        c0 = stages[0][0]
+        want = d * cf * cf * c0 + cf * c0 * d * h * w
+        if len(stages) > 1:
+            want += sum(cf * c * d * (h >> s) * (w >> s) for s, (c, _) in enumerate(stages)
+                        if s > 0)
+            want += cf * cf * d * (h // 2) * (w // 2)
+        assert sum(layer.macs for layer in head_layers(config)) == want
 
     def test_head_params_match_built_weights(self):
         config = BackboneConfig(depth=3, stages=((4, 1), (6, 2)), height=8, width=8)
         bb = build(config)
-        sizes = [k.size for k in bb.unify_kernels] + [bb.collapse.size]
-        assert [h.params for h in head_layers(config)] == sizes
+        unify0, unify1 = (k.size for k in bb.unify_kernels)
+        assert [h.params for h in head_layers(config)] == [unify0 + bb.collapse.size, 0,
+                                                           unify1, 0]
 
     def test_head_csv_and_table(self):
         config = BackboneConfig(depth=3, stages=((4, 1), (6, 1)), height=8, width=8)
         reports = [backbone_cost(k, layer_dims(config)) for k in ALL_KINDS]
         rows = head_rows(head_layers(config), reports)
-        assert len(rows) == 3 + 1 + len(ALL_KINDS)
+        assert len(rows) == 4 + 1 + len(ALL_KINDS)
         lines = format_head_csv(rows).splitlines()
         assert lines[0] == "part,name,params,macs"
         assert lines[1:] == [f"{a},{b},{c},{d}" for a, b, c, d in rows]

@@ -459,6 +459,23 @@ class TestStateValidation:
             st.weights["aux"] = np.ones((5, 5, 3, 1, 1))
 
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    def test_weight_arrays_are_read_only(self, kind):
+        """No array can be written through weights, kernels, aux or mix; the
+        caller's own arrays are not copied and keep their flags."""
+        st = make_state(kind, SeededRng(345), c_out=7)
+        arrays = [*st.weights.values(), *st.kernels, *(a for a in (st.aux, st.mix)
+                                                       if a is not None)]
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0.0
+        mine = {n: a.copy() for n, a in st.weights.items()}
+        kept = OperatorState(kind, mine, st.shift_splits)
+        for n, a in mine.items():
+            assert a.flags.writeable and np.shares_memory(kept.weights[n], a)
+        with pytest.raises(ValueError, match="read-only"):
+            kept.weights[next(iter(mine))][...] = 0.0
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
     def test_views_return_the_stored_arrays(self, kind):
         """kernels (main or the acs views, in output-channel order), aux and
         mix return weights' own arrays, not copies."""

@@ -44,3 +44,14 @@ def test_missing_and_reshaped_entries_differ(capsys):
     out = capsys.readouterr().out
     assert "cli/check: only in A" in out
     assert "operator/a3d/step0/grad_mix: float64[2, 2, 1] vs float64[2, 2]" in out
+
+
+def test_text_entries_differ_by_their_first_differing_line(capsys):
+    other = record()
+    other["cli/check"] = np.frombuffer(b"PASS  oracle\nFAIL  fd\n", np.uint8)
+    other["demo/a3d.csv"] = np.frombuffer(b"epoch,loss\n1,0.25\n2,0.125\n", np.uint8)
+    mine = {**record(), "demo/a3d.csv": np.frombuffer(b"epoch,loss\n1,0.5\n", np.uint8)}
+    assert snapshot.compare(mine, other) == 1
+    out = capsys.readouterr().out
+    assert "cli/check: line 2: '' vs 'FAIL  fd\\n'" in out
+    assert "demo/a3d.csv: line 2: '1,0.5\\n' vs '1,0.25\\n'" in out

@@ -13,10 +13,11 @@ every file of a saved operator per kind at c_out 3 and 7 and of each
 trained backbone's checkpoint.  Text and file bytes are stored as uint8.
 
 `compare` prints, for each entry, `same` when both records hold it
-bit for bit, or the largest absolute and relative difference; it exits
-1 if any entry differs or is missing from one side.  Running `write`
-against two source trees and comparing shows whether a change kept
-every output.  Only numpy and ctfuse are used; BLAS is pinned to one
+bit for bit; else, for text (uint8 that is UTF-8 on both sides), the
+first differing line of each side, and for numbers the largest absolute
+and relative difference.  It exits 1 if any entry differs or is missing
+from one side.  Running `write` against two source trees and comparing
+shows whether a change kept every output.  Only numpy and ctfuse are used; BLAS is pinned to one
 thread, as in bench/run.py, so records from one machine compare exactly.
 """
 
@@ -127,6 +128,18 @@ def write(path) -> None:
     np.savez(path, **entries)
 
 
+def _lines(x: np.ndarray) -> list[str] | None:
+    """A uint8 entry's text as lines with their line ends, then one "" so
+    that two texts that differ always differ at some line (a shorter one
+    at its end); None for other entries and bytes that are not UTF-8."""
+    if x.dtype != np.uint8:
+        return None
+    try:
+        return x.tobytes().decode().splitlines(keepends=True) + [""]
+    except UnicodeDecodeError:
+        return None
+
+
 def compare(a: dict, b: dict) -> int:
     """Print one line per entry of a and b; 0 if every entry is the same
     in both bit for bit, else 1."""
@@ -139,7 +152,11 @@ def compare(a: dict, b: dict) -> int:
             if x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes():
                 print(f"{name}: same")
                 continue
-            if (x.dtype, x.shape) != (y.dtype, y.shape):
+            text = _lines(x), _lines(y)
+            if None not in text:
+                i = next(i for i, (p, q) in enumerate(zip(*text)) if p != q)
+                line = f"line {i + 1}: {text[0][i]!r} vs {text[1][i]!r}"
+            elif (x.dtype, x.shape) != (y.dtype, y.shape):
                 line = f"{x.dtype}{list(x.shape)} vs {y.dtype}{list(y.shape)}"
             else:
                 x, y = x.astype(np.float64), y.astype(np.float64)
